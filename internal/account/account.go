@@ -10,6 +10,8 @@
 package account
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"psbox/internal/hw/power"
@@ -42,15 +44,22 @@ type Span struct {
 }
 
 // Recorder accumulates occupancy spans for one rail. Drivers feed it via
-// their usage callbacks.
+// their usage callbacks, recording each span as it closes, so span End
+// times never decrease. The accountant relies on that order to skip the
+// history that closed before the range it attributes; Record enforces it.
 type Recorder struct {
 	spans []Span
 }
 
-// Record appends a span; zero- or negative-length spans are dropped.
+// Record appends a span; zero- or negative-length spans are dropped. It
+// panics if end is earlier than the previous span's End.
 func (r *Recorder) Record(owner int, start, end sim.Time) {
 	if end <= start {
 		return
+	}
+	if n := len(r.spans); n > 0 && end < r.spans[n-1].End {
+		panic(fmt.Sprintf("account: span of owner %d ends at %v, before the previous span's end %v; spans must be recorded as they close",
+			owner, end, r.spans[n-1].End))
 	}
 	r.spans = append(r.spans, Span{Owner: owner, Start: start, End: end})
 }
@@ -79,16 +88,20 @@ type edge struct {
 // Shares returns each app's attributed energy over [from, to).
 func (a *Accountant) Shares(from, to sim.Time) map[int]power.Joules {
 	out := make(map[int]power.Joules)
-	a.walk(from, to, func(owner int, e power.Joules) { out[owner] += e })
+	a.walkWindows(from, to, func(_ sim.Time, owners []int, shares []power.Joules) {
+		for i, o := range owners {
+			out[o] += shares[i]
+		}
+	})
 	return out
 }
 
 // AppEnergy returns one app's attributed energy over [from, to).
 func (a *Accountant) AppEnergy(owner int, from, to sim.Time) power.Joules {
 	var total power.Joules
-	a.walk(from, to, func(o int, e power.Joules) {
-		if o == owner {
-			total += e
+	a.walkWindows(from, to, func(_ sim.Time, owners []int, shares []power.Joules) {
+		if i, ok := slices.BinarySearch(owners, owner); ok {
+			total += shares[i]
 		}
 	})
 	return total
@@ -105,15 +118,15 @@ func (a *Accountant) Series(owner int, from, to sim.Time, step sim.Duration) []p
 		return nil
 	}
 	energy := make([]power.Joules, nBuckets)
-	a.walkWindows(from, to, func(wStart sim.Time, shares map[int]power.Joules) {
-		e, ok := shares[owner]
+	a.walkWindows(from, to, func(wStart sim.Time, owners []int, shares []power.Joules) {
+		i, ok := slices.BinarySearch(owners, owner)
 		if !ok {
 			return
 		}
 		b := int(wStart.Sub(from) / step)
 		if b >= 0 && b < nBuckets {
 			//psbox:allow-energyaccum summing already-integrated window shares in deterministic replay order, not raw power×dt
-			energy[b] += e
+			energy[b] += shares[i]
 		}
 	})
 	out := make([]power.Sample, nBuckets)
@@ -126,24 +139,11 @@ func (a *Accountant) Series(owner int, from, to sim.Time, step sim.Duration) []p
 	return out
 }
 
-func (a *Accountant) walk(from, to sim.Time, emit func(owner int, e power.Joules)) {
-	a.walkWindows(from, to, func(_ sim.Time, shares map[int]power.Joules) {
-		// Emit in sorted-owner order so callers that fold the stream into
-		// order-sensitive state (float totals, output) stay deterministic.
-		owners := make([]int, 0, len(shares))
-		for o := range shares {
-			owners = append(owners, o)
-		}
-		sort.Ints(owners)
-		for _, o := range owners {
-			emit(o, shares[o])
-		}
-	})
-}
-
 // walkWindows replays the recorded spans window by window, dividing each
-// window's rail energy by the active policy.
-func (a *Accountant) walkWindows(from, to sim.Time, emit func(wStart sim.Time, shares map[int]power.Joules)) {
+// window's rail energy by the active policy. It emits every window that
+// attributes energy, with the owners in ascending ID order and their
+// shares; both slices are reused from window to window.
+func (a *Accountant) walkWindows(from, to sim.Time, emit func(wStart sim.Time, owners []int, shares []power.Joules)) {
 	if to <= from {
 		return
 	}
@@ -151,118 +151,102 @@ func (a *Accountant) walkWindows(from, to sim.Time, emit func(wStart sim.Time, s
 	if w <= 0 {
 		w = 10 * sim.Microsecond
 	}
+	// Spans arrive in End order, so each span before the first one with
+	// End > from adds a +1/-1 edge pair at or before from: it changes
+	// neither the active set at from nor any window's usage. Only the tail
+	// policy needs that history, for the last user before from.
+	spans := a.Rec.spans
+	if a.Policy != PolicyUsageShareTail {
+		spans = spans[sort.Search(len(spans), func(i int) bool { return spans[i].End > from }):]
+	}
+	// Dense owner indices in ascending ID order: per-window state is
+	// slice-indexed, and scanning it visits owners in sorted order, which
+	// keeps the float sums below deterministic.
+	ids := make([]int, len(spans))
+	for i, s := range spans {
+		ids[i] = s.Owner
+	}
+	sort.Ints(ids)
+	ids = slices.Compact(ids)
 	// Build the span edge list once, sorted by time.
-	edges := make([]edge, 0, 2*len(a.Rec.spans))
-	for _, s := range a.Rec.spans {
-		edges = append(edges, edge{at: s.Start, owner: s.Owner, delta: +1})
-		edges = append(edges, edge{at: s.End, owner: s.Owner, delta: -1})
+	edges := make([]edge, 0, 2*len(spans))
+	for _, s := range spans {
+		o, _ := slices.BinarySearch(ids, s.Owner)
+		edges = append(edges, edge{at: s.Start, owner: o, delta: +1}, edge{at: s.End, owner: o, delta: -1})
 	}
 	sort.Slice(edges, func(i, j int) bool { return edges[i].at < edges[j].at })
 
-	active := make(map[int]int)    // owner → overlapping span count
-	usage := make(map[int]float64) // per-window usage seconds
+	active := make([]int, len(ids))    // owner → overlapping span count
+	usage := make([]float64, len(ids)) // per-window usage seconds
+	inWindow := make([]bool, len(ids)) // owner had usage in this window
+	owners := make([]int, 0, len(ids))
+	shares := make([]power.Joules, 0, len(ids))
+	accrue := func(dt float64) {
+		for o, n := range active {
+			if n > 0 {
+				usage[o] += dt * float64(n)
+				inWindow[o] = true
+			}
+		}
+	}
 	ei := 0
 	lastUser := -1
-	// Fast-forward edges before `from`, maintaining active set and last
+	// Fast-forward edges up to `from`, maintaining active set and last
 	// user.
-	for ei < len(edges) && edges[ei].at <= from {
+	for ; ei < len(edges) && edges[ei].at <= from; ei++ {
 		e := edges[ei]
-		active[e.owner] += e.delta
-		if active[e.owner] <= 0 {
-			delete(active, e.owner)
+		if active[e.owner] += e.delta; active[e.owner] == 0 {
 			lastUser = e.owner
 		}
-		ei++
 	}
 	for wStart := from; wStart < to; wStart = wStart.Add(w) {
-		wEnd := wStart.Add(w)
-		if wEnd > to {
-			wEnd = to
-		}
-		for o := range usage {
-			delete(usage, o)
-		}
+		wEnd := min(wStart.Add(w), to)
+		clear(usage)
+		clear(inWindow)
 		cursor := wStart
-		for ei < len(edges) && edges[ei].at < wEnd {
+		for ; ei < len(edges) && edges[ei].at < wEnd; ei++ {
 			e := edges[ei]
-			dt := e.at.Sub(cursor).Seconds()
-			if dt > 0 {
-				for o, n := range active {
-					if n > 0 {
-						usage[o] += dt * float64(n)
-					}
-				}
+			if e.at > cursor {
+				accrue(e.at.Sub(cursor).Seconds())
 				cursor = e.at
 			}
-			active[e.owner] += e.delta
-			if active[e.owner] <= 0 {
-				delete(active, e.owner)
+			if active[e.owner] += e.delta; active[e.owner] == 0 {
 				lastUser = e.owner
 			}
-			ei++
 		}
-		if dt := wEnd.Sub(cursor).Seconds(); dt > 0 {
-			for o, n := range active {
-				if n > 0 {
-					usage[o] += dt * float64(n)
-				}
-			}
+		if wEnd > cursor {
+			accrue(wEnd.Sub(cursor).Seconds())
 		}
 		energy := a.Rail.EnergyBetween(wStart, wEnd)
 		if energy <= 0 {
 			continue
 		}
-		shares := a.divide(energy, usage, lastUser)
-		if len(shares) > 0 {
-			emit(wStart, shares)
-		}
-	}
-}
-
-func (a *Accountant) divide(energy power.Joules, usage map[int]float64, lastUser int) map[int]power.Joules {
-	switch a.Policy {
-	case PolicyEvenSplit:
-		if len(usage) == 0 {
-			return nil
-		}
-		per := energy / float64(len(usage))
-		out := make(map[int]power.Joules, len(usage))
-		for o := range usage {
-			out[o] = per
-		}
-		return out
-	case PolicyUsageShareTail:
-		if len(usage) == 0 {
-			if lastUser < 0 {
-				return nil
+		owners, shares = owners[:0], shares[:0]
+		var total float64
+		for o, in := range inWindow {
+			if in {
+				owners = append(owners, ids[o])
+				total += usage[o]
 			}
-			return map[int]power.Joules{lastUser: energy}
 		}
-		return a.usageShares(energy, usage)
-	default: // PolicyUsageShare
-		if len(usage) == 0 {
-			return nil
+		switch {
+		case len(owners) > 0 && a.Policy == PolicyEvenSplit:
+			per := energy / float64(len(owners))
+			for range owners {
+				shares = append(shares, per)
+			}
+		case len(owners) > 0:
+			for o, in := range inWindow {
+				if in {
+					shares = append(shares, energy*usage[o]/total)
+				}
+			}
+		case a.Policy == PolicyUsageShareTail && lastUser >= 0:
+			owners = append(owners, ids[lastUser])
+			shares = append(shares, energy)
+		default:
+			continue
 		}
-		return a.usageShares(energy, usage)
+		emit(wStart, owners, shares)
 	}
-}
-
-func (a *Accountant) usageShares(energy power.Joules, usage map[int]float64) map[int]power.Joules {
-	// Sum in sorted-owner order: float addition is not associative, so a
-	// map-order sum would make each app's share depend on iteration order
-	// and two seeded runs would differ in the last bits.
-	owners := make([]int, 0, len(usage))
-	for o := range usage {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	var total float64
-	for _, o := range owners {
-		total += usage[o]
-	}
-	out := make(map[int]power.Joules, len(usage))
-	for _, o := range owners {
-		out[o] = energy * usage[o] / total
-	}
-	return out
 }
