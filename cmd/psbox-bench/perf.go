@@ -35,7 +35,8 @@ import (
 
 // perfResult is one benchmark's summary. "Event" means one fired engine
 // event for the heap benchmarks, one retrieved DAQ sample for the meter
-// benchmark, and one whole-repo lint pass for the lint benchmark.
+// benchmark, one whole-repo lint pass for the lint benchmark, and one
+// whole-rail join for the obs benchmarks.
 type perfResult struct {
 	Bench          string  `json:"bench"`
 	Events         int     `json:"events"`
@@ -314,26 +315,29 @@ func benchTracedRail(b *testing.B) (sys *psbox.System, samples []power.Sample, p
 	return sys, samples, sys.Meter.Period(), gaps
 }
 
-// benchObsBlameJoin measures the attribution joiner: one op = one DAQ
-// sample window joined against the full span timeline (occupancy split,
-// union coverage, dropout check), rotating over the traced run's
-// precomputed samples.
+// benchObsBlameJoin measures the attribution joiner as System.Blame runs
+// it: one op = one whole-rail join — the rail's spans pulled from the
+// trace, then every DAQ sample window of the traced run attributed in one
+// sweep (occupancy split, union coverage, dropout check). The rows in
+// BENCH_4.json and BENCH_5.json timed one sample window per op and do not
+// compare with this one.
 func benchObsBlameJoin(b *testing.B) {
 	sys, samples, period, gaps := benchTracedRail(b)
-	intervals := obs.IntervalsFromEvents(sys.Trace.Events(), "cpu")
+	events := sys.Trace.Events()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % len(samples)
-		_ = obs.Attribute(samples[j:j+1], period, intervals, gaps)
+		_ = obs.Attribute(samples, period, obs.IntervalsFromEvents(events, "cpu"), gaps)
 	}
 }
 
-// benchObsProfileFold measures the energy profiler's fold: one op = one
-// sample window folded into the weighted app → component → rail tree
-// (span selection, per-component occupancy, idle remainder), rotating
-// over the same precomputed samples as obs/blame-join so the two rows
-// compare like for like.
+// benchObsProfileFold measures the energy profiler's fold as
+// System.FoldProfile runs it: one op = one whole-rail fold of the same
+// samples and spans as obs/blame-join into the weighted app → component
+// → rail tree (span selection, per-component occupancy, idle remainder),
+// so the two rows compare like for like. The rows in BENCH_4.json and
+// BENCH_5.json timed one sample window per op and do not compare with
+// this one.
 func benchObsProfileFold(b *testing.B) {
 	sys, samples, period, gaps := benchTracedRail(b)
 	events := sys.Trace.Events()
@@ -348,8 +352,7 @@ func benchObsProfileFold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % len(samples)
-		p.FoldRail("cpu", samples[j:j+1], period, events, gaps, ownerName)
+		p.FoldRail("cpu", samples, period, events, gaps, ownerName)
 	}
 }
 

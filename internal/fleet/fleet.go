@@ -300,6 +300,11 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *checkpoin
 	//psbox:allow-noconcurrency the attempt goroutine builds and owns its own System; only the attemptResult crosses back, via the done channel
 	go func() { done <- st.runAttempt(attempt, resume, ctl) }()
 
+	// One ticker per attempt, stopped on return: under go 1.22 semantics
+	// every unfired time.After timer stays live until it fires, so a
+	// per-iteration timer would leak one per poll for up to PollEvery.
+	poll := time.NewTicker(cfg.PollEvery)
+	defer poll.Stop()
 	lastHB := ctl.heartbeat.Load()
 	lastProgress := time.Now()
 	for {
@@ -309,7 +314,7 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *checkpoin
 		case r := <-done:
 			return r
 		//psbox:allow-noconcurrency host-side poll tick; the watchdog deadline is supervision, not simulated time
-		case <-time.After(cfg.PollEvery):
+		case <-poll.C:
 			hb := ctl.heartbeat.Load()
 			if hb >= int64(cfg.Horizon) {
 				// The sim clock has reached the horizon: there is no more
@@ -335,6 +340,7 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *checkpoin
 				At:      sim.Time(lastHB),
 				Msg:     fmt.Sprintf("no sim-time progress past %v; shard cancelled", sim.Time(lastHB)),
 			}}
+			grace := time.NewTimer(cfg.Grace)
 			//psbox:allow-noconcurrency post-cancel race: the attempt either acknowledges within Grace or is abandoned
 			select {
 			//psbox:allow-noconcurrency acknowledgment path: adopt the cancelled attempt's checkpoint for the retry
@@ -344,11 +350,12 @@ func superviseAttempt(cfg Config, st *shardState, attempt int, resume *checkpoin
 				// restarts. The hang failure still supersedes its result.
 				hung.ckpt = r.ckpt
 			//psbox:allow-noconcurrency grace deadline for a wedged attempt; after it the goroutine is abandoned
-			case <-time.After(cfg.Grace):
+			case <-grace.C:
 				// Wedged inside the event loop: abandon the goroutine. Its
 				// eventual send lands in the buffered channel and is never
 				// read, so none of its state is observed.
 			}
+			grace.Stop()
 			return hung
 		}
 	}

@@ -5,6 +5,7 @@ package fleet
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -332,5 +333,39 @@ func TestChurnScenarioDeterministicAcrossWorkers(t *testing.T) {
 	if reports[0] != reports[1] {
 		t.Errorf("churn merged report differs between workers=1 and workers=4:\n--- w1 ---\n%s\n--- w4 ---\n%s",
 			reports[0], reports[1])
+	}
+}
+
+// TestSupervisorReleasesPollTimers pins the watchdog's timer hygiene: an
+// attempt that finishes before its first poll leaves no live timer
+// behind. With an hour-long poll, a per-iteration time.After would keep
+// one timer and its channel reachable per attempt for the whole hour.
+func TestSupervisorReleasesPollTimers(t *testing.T) {
+	cfg := Config{
+		Shards:          256,
+		Workers:         2,
+		Horizon:         sim.Millisecond,
+		Seed:            1,
+		Quanta:          2,
+		CheckpointEvery: 2,
+		StallTimeout:    time.Hour,
+		PollEvery:       time.Hour,
+	}
+	run := func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run() // warm up whatever the runtime and packages build lazily
+	before := heap()
+	run()
+	if grew := int64(heap()) - int64(before); grew >= 16<<10 {
+		t.Fatalf("heap grew %d B over %d attempts; the watchdog is holding timers past each attempt", grew, cfg.Shards)
 	}
 }

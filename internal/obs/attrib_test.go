@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -319,4 +321,220 @@ func TestWriteBlameStableText(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("blame text:\n%s\nwant:\n%s", b.String(), want)
 	}
+}
+
+// TestJoinRejectsOverlappingSamples pins Join's order contract: samples
+// that run backwards or whose windows overlap are a caller bug and panic
+// with a message naming the contract; windows separated by holes, as a
+// meter dropout leaves them, and windows that merely touch are accepted.
+func TestJoinRejectsOverlappingSamples(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		samples []power.Sample
+	}{
+		{"descending", []power.Sample{{T: sim.Time(5 * period)}, {T: sim.Time(2 * period)}}},
+		{"overlapping by one nanosecond", []power.Sample{{T: 0}, {T: sim.Time(period - 1)}}},
+		{"repeated", []power.Sample{{T: sim.Time(period)}, {T: sim.Time(period)}}},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "ascending time order with non-overlapping windows") {
+					t.Errorf("%s: recovered %q, want the order-contract panic", tc.name, msg)
+				}
+			}()
+			Join(tc.samples, period, nil, nil, func(Window) {})
+		}()
+	}
+
+	holes := []power.Sample{{T: 0}, {T: sim.Time(period)}, {T: sim.Time(4 * period)}, {T: sim.Time(7*period + 3)}}
+	var emitted []sim.Time
+	Join(holes, period, []Interval{{Start: 0, End: sim.Time(9 * period), Owner: 1}}, nil, func(w Window) {
+		emitted = append(emitted, w.Sample.T)
+		if w.Covered != period || w.Total != period || len(w.Occupants) != 1 {
+			t.Errorf("window at %d: covered %v total %v occupants %+v, want one full occupant",
+				int64(w.Sample.T), w.Covered, w.Total, w.Occupants)
+		}
+	})
+	if len(emitted) != len(holes) {
+		t.Fatalf("emitted %d windows, want %d", len(emitted), len(holes))
+	}
+}
+
+// referenceAttribute is the per-sample scan the sweep replaced: every
+// window clips every interval, sums occupancy per owner in a map, and
+// measures coverage as the union of the clipped pieces. The differential
+// tests hold Attribute to it bit for bit.
+func referenceAttribute(samples []power.Sample, period sim.Duration, intervals []Interval, gaps []Gap) []Blame {
+	out := make([]Blame, 0, len(samples))
+	for _, s := range samples {
+		lo, hi := s.T, s.T.Add(period)
+		occ := make(map[int]sim.Duration)
+		var clipped []Interval
+		var total sim.Duration
+		for _, iv := range intervals {
+			a, b := max(iv.Start, lo), min(iv.End, hi)
+			if b <= a {
+				continue
+			}
+			occ[iv.Owner] += b.Sub(a)
+			total += b.Sub(a)
+			clipped = append(clipped, Interval{Start: a, End: b})
+		}
+		covered := referenceUnion(clipped)
+		window := hi.Sub(lo)
+		bl := Blame{T: s.T, W: s.W, Degraded: overlapsGap(lo, hi, gaps)}
+		idle := float64(window-covered) / float64(window)
+		owners := make([]int, 0, len(occ))
+		for o := range occ {
+			owners = append(owners, o)
+		}
+		sort.Ints(owners)
+		activeFrac := float64(covered) / float64(window)
+		for _, o := range owners {
+			frac := float64(occ[o]) / float64(total) * activeFrac
+			if o == 0 {
+				idle += frac
+				continue
+			}
+			bl.Shares = append(bl.Shares, Share{Owner: o, Frac: frac})
+		}
+		bl.Shares = append([]Share{{Owner: 0, Frac: idle}}, bl.Shares...)
+		out = append(out, bl)
+	}
+	return out
+}
+
+// referenceUnion measures the merged extent of intervals already clipped
+// to one window.
+func referenceUnion(ivs []Interval) sim.Duration {
+	if len(ivs) == 0 {
+		return 0
+	}
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+	var d sim.Duration
+	curA, curB := ivs[0].Start, ivs[0].End
+	for _, iv := range ivs[1:] {
+		if iv.Start > curB {
+			d += curB.Sub(curA)
+			curA, curB = iv.Start, iv.End
+			continue
+		}
+		curB = max(curB, iv.End)
+	}
+	return d + curB.Sub(curA)
+}
+
+// draw is the source of a scenario's choices: sim.Rand for the seeded
+// differential test, fuzz bytes for the fuzz target.
+type draw interface{ Intn(n int) int }
+
+// joinScenario is one generated attribution input.
+type joinScenario struct {
+	period    sim.Duration
+	samples   []power.Sample
+	intervals []Interval
+	gaps      []Gap
+}
+
+var (
+	joinOwners = []int{0, 1, 2, 7}
+	joinComps  = []string{CatSched, CatAccel, CatNet}
+)
+
+func genJoinScenario(d draw) joinScenario {
+	sc := joinScenario{period: []sim.Duration{10 * sim.Microsecond, 7 * sim.Microsecond, 1}[d.Intn(3)]}
+	// Samples start on or off the interval grid and skip windows now and
+	// then, as dropouts leave them.
+	t := sim.Time(d.Intn(2) * d.Intn(1000))
+	for n := d.Intn(120); n > 0; n-- {
+		if d.Intn(6) == 0 {
+			t = t.Add(sim.Duration(d.Intn(4))*sc.period + sim.Duration(d.Intn(2)*d.Intn(1000)))
+		}
+		sc.samples = append(sc.samples, power.Sample{T: t, W: power.Watts(d.Intn(4000)) / 3})
+		t = t.Add(sc.period)
+	}
+	// Interval edges sit on a grid of q, so they often coincide with each
+	// other and with window boundaries.
+	q := sim.Duration(1+d.Intn(5)) * sim.Microsecond
+	slots := 1 + int(sim.Duration(t)/q)
+	at := func(slot int) sim.Time { return sim.Time(sim.Duration(slot) * q) }
+	for n := d.Intn(60); n > 0; n-- {
+		iv := Interval{
+			Owner: joinOwners[d.Intn(len(joinOwners))],
+			Comp:  joinComps[d.Intn(len(joinComps))],
+			Start: at(d.Intn(slots)),
+		}
+		switch length := sim.Duration(1+d.Intn(30)) * q; d.Intn(8) {
+		case 0: // zero-length
+			iv.End = iv.Start
+		case 1: // inverted
+			iv.End = iv.Start.Add(-length)
+		default:
+			iv.End = iv.Start.Add(length)
+		}
+		sc.intervals = append(sc.intervals, iv)
+		if d.Intn(4) == 0 { // a stacked twin: same occupant, equal edges
+			sc.intervals = append(sc.intervals, iv)
+		}
+	}
+	for n := d.Intn(3); n > 0; n-- {
+		from := at(d.Intn(slots)).Add(sim.Duration(d.Intn(1000)))
+		sc.gaps = append(sc.gaps, Gap{From: from, To: from.Add(sim.Duration(1 + d.Intn(50000)))})
+	}
+	return sc
+}
+
+// checkJoinMatchesOracle compares Attribute with referenceAttribute bit for
+// bit: every Blame's time, watts, degraded flag and shares.
+func checkJoinMatchesOracle(t *testing.T, sc joinScenario) {
+	t.Helper()
+	got := Attribute(sc.samples, sc.period, sc.intervals, sc.gaps)
+	want := referenceAttribute(sc.samples, sc.period, sc.intervals, sc.gaps)
+	if len(got) != len(want) {
+		t.Fatalf("got %d blames, oracle %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.T != w.T || math.Float64bits(float64(g.W)) != math.Float64bits(float64(w.W)) ||
+			g.Degraded != w.Degraded || len(g.Shares) != len(w.Shares) {
+			t.Fatalf("blame %d = %+v, oracle %+v", i, g, w)
+		}
+		for j, ws := range w.Shares {
+			if gs := g.Shares[j]; gs.Owner != ws.Owner || math.Float64bits(gs.Frac) != math.Float64bits(ws.Frac) {
+				t.Fatalf("blame %d at %d: shares %+v, oracle %+v", i, int64(w.T), g.Shares, w.Shares)
+			}
+		}
+	}
+}
+
+// The seeded scenarios cover stacked same-occupant intervals with
+// equal-time edges, zero-length and inverted intervals, sample holes and
+// unaligned starts, dropout gaps, and several components per owner.
+func TestJoinMatchesOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 3000; seed++ {
+		sc := genJoinScenario(sim.NewRand(seed))
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkJoinMatchesOracle(t, sc) })
+	}
+}
+
+// byteDraw draws a scenario's choices from fuzz input, two bytes at a
+// time; an exhausted input draws zeros.
+type byteDraw []byte
+
+func (b *byteDraw) Intn(n int) int {
+	var v int
+	for i := 0; i < 2 && len(*b) > 0; i++ {
+		v = v<<8 | int((*b)[0])
+		*b = (*b)[1:]
+	}
+	return v % n
+}
+
+func FuzzJoinMatchesOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := byteDraw(data)
+		checkJoinMatchesOracle(t, genJoinScenario(&d))
+	})
 }

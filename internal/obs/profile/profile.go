@@ -16,9 +16,12 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"psbox/internal/hw/power"
 	"psbox/internal/obs"
@@ -114,128 +117,40 @@ func (p *Profiler) Degraded() uint64 {
 	return p.degraded
 }
 
-// ownerComp identifies one (owner, component) occupant within a window.
-type ownerComp struct {
-	owner int
-	comp  string
-}
-
-// FoldRail folds one rail's samples against the trace's span events: each
-// sample window [T, T+period) is split among the (owner, component)
-// pairs active in it — occupancy fraction scaled by coverage, exactly the
-// obs.Attribute arithmetic, but keyed one level deeper so the tree
-// separates an app's scheduler time from its accelerator commands — and
-// the uncovered remainder is booked to the idle floor. Each share times
-// the sampled watts times the period is the window's energy contribution.
+// FoldRail folds one rail's samples against the trace's span events with
+// obs.Join: each sample window [T, T+period) is split among the (owner,
+// component) pairs active in it — occupancy fraction scaled by coverage,
+// the arithmetic obs.Attribute applies per owner, kept one level deeper so
+// the tree separates an app's scheduler time from its accelerator
+// commands — and the uncovered remainder is booked to the idle floor.
+// Each share times the sampled watts times the period is the window's
+// energy contribution. Every key accumulates in sample order, then in
+// ascending (owner, component) order, never in map order.
 //
 // events is the full trace; FoldRail selects the spans on rail itself.
-// ownerName maps owner IDs to app names (owner 0 is conventionally
-// "kernel"). The fold is a no-op while the profiler is disabled.
+// Samples follow obs.Join's order contract. ownerName maps owner IDs to
+// app names (owner 0 is conventionally "kernel"). The fold is a no-op
+// while the profiler is disabled.
 func (p *Profiler) FoldRail(rail string, samples []power.Sample, period sim.Duration,
 	events []obs.Event, gaps []obs.Gap, ownerName func(int) string) {
 	if p == nil || !p.enabled {
 		return
 	}
-	if period <= 0 {
-		panic("profile: fold needs a positive sample period")
-	}
-	type span struct {
-		start, end sim.Time
-		oc         ownerComp
-	}
-	var spans []span
-	for _, ev := range events {
-		if ev.Type != obs.TypeSpan || ev.Rail != rail {
-			continue
-		}
-		spans = append(spans, span{start: ev.T, end: ev.End, oc: ownerComp{ev.Owner, ev.Cat}})
-	}
-	for _, s := range samples {
-		lo, hi := s.T, s.T.Add(period)
-		window := hi.Sub(lo)
-		occ := make(map[ownerComp]sim.Duration)
-		var clipped []obs.Interval
-		var total sim.Duration
-		for _, sp := range spans {
-			a, b := sp.start, sp.end
-			if a < lo {
-				a = lo
-			}
-			if b > hi {
-				b = hi
-			}
-			if b <= a {
-				continue
-			}
-			occ[sp.oc] += b.Sub(a)
-			total += b.Sub(a)
-			clipped = append(clipped, obs.Interval{Start: a, End: b, Owner: sp.oc.owner})
-		}
-		covered := coverage(clipped)
-		joules := float64(s.W) * period.Seconds()
+	obs.Join(samples, period, obs.IntervalsFromEvents(events, rail), gaps, func(w obs.Window) {
+		joules := float64(w.Sample.W) * period.Seconds()
 		p.windows++
-		if overlapsGap(lo, hi, gaps) {
+		if w.Degraded {
 			p.degraded++
 		}
-
-		// Occupants in sorted (owner, comp) order: every key's float
-		// accumulation sequence is fixed by sim time and this order, never
-		// by map iteration.
-		ocs := make([]ownerComp, 0, len(occ))
-		for oc := range occ {
-			ocs = append(ocs, oc)
+		activeFrac := float64(w.Covered) / float64(period)
+		for _, oc := range w.Occupants {
+			frac := float64(oc.D) / float64(w.Total) * activeFrac
+			p.weights[Key{App: ownerName(oc.Owner), Comp: oc.Comp, Rail: rail}] += frac * joules
 		}
-		sort.Slice(ocs, func(i, j int) bool {
-			if ocs[i].owner != ocs[j].owner {
-				return ocs[i].owner < ocs[j].owner
-			}
-			return ocs[i].comp < ocs[j].comp
-		})
-		activeFrac := float64(covered) / float64(window)
-		for _, oc := range ocs {
-			frac := float64(occ[oc]) / float64(total) * activeFrac
-			p.weights[Key{App: ownerName(oc.owner), Comp: oc.comp, Rail: rail}] += frac * joules
-		}
-		if idle := float64(window-covered) / float64(window); idle > 0 {
+		if idle := float64(period-w.Covered) / float64(period); idle > 0 {
 			p.weights[Key{App: IdleApp, Comp: IdleComp, Rail: rail}] += idle * joules
 		}
-	}
-}
-
-// coverage measures the merged extent of intervals already clipped to one
-// window (the union arithmetic of the attribution joiner).
-func coverage(ivs []obs.Interval) sim.Duration {
-	if len(ivs) == 0 {
-		return 0
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Start != ivs[j].Start {
-			return ivs[i].Start < ivs[j].Start
-		}
-		return ivs[i].End < ivs[j].End
 	})
-	var d sim.Duration
-	curA, curB := ivs[0].Start, ivs[0].End
-	for _, iv := range ivs[1:] {
-		if iv.Start > curB {
-			d += curB.Sub(curA)
-			curA, curB = iv.Start, iv.End
-			continue
-		}
-		if iv.End > curB {
-			curB = iv.End
-		}
-	}
-	return d + curB.Sub(curA)
-}
-
-func overlapsGap(lo, hi sim.Time, gaps []obs.Gap) bool {
-	for _, g := range gaps {
-		if g.From < hi && g.To > lo {
-			return true
-		}
-	}
-	return false
 }
 
 // Entries returns the folded tree in canonical (App, Comp, Rail) order.
@@ -243,39 +158,19 @@ func (p *Profiler) Entries() []Entry {
 	if p == nil {
 		return nil
 	}
-	keys := make([]Key, 0, len(p.weights))
-	for k := range p.weights {
-		keys = append(keys, k)
+	out := make([]Entry, 0, len(p.weights))
+	for k, j := range p.weights {
+		out = append(out, Entry{App: k.App, Comp: k.Comp, Rail: k.Rail, J: j})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.App != b.App {
-			return a.App < b.App
-		}
-		if a.Comp != b.Comp {
-			return a.Comp < b.Comp
-		}
-		return a.Rail < b.Rail
-	})
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, Entry{App: k.App, Comp: k.Comp, Rail: k.Rail, J: p.weights[k]})
-	}
+	slices.SortFunc(out, compareEntries) // SortEntries, spelled out for the maporder lint
 	return out
 }
 
 // SortEntries orders entries canonically by (App, Comp, Rail).
-func SortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.App != b.App {
-			return a.App < b.App
-		}
-		if a.Comp != b.Comp {
-			return a.Comp < b.Comp
-		}
-		return a.Rail < b.Rail
-	})
+func SortEntries(es []Entry) { slices.SortFunc(es, compareEntries) }
+
+func compareEntries(a, b Entry) int {
+	return cmp.Or(strings.Compare(a.App, b.App), strings.Compare(a.Comp, b.Comp), strings.Compare(a.Rail, b.Rail))
 }
 
 // MergeEntries folds several entry lists (e.g. per-shard profiles, in

@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -194,5 +197,149 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	b.weights[Key{App: "vision", Comp: "sched", Rail: "cpu"}] += 1e-6
 	if err := b.Restore(snapshot.NewDecoder(ba)); err == nil {
 		t.Fatal("diverged profiler passed snapshot verification")
+	}
+}
+
+// referenceFold is the per-sample scan FoldRail replaced: every window
+// clips every span on the rail, sums occupancy per (owner, component) in
+// a map, measures coverage as the union of the clipped pieces, and books
+// the occupants into weights in sorted (owner, component) order. It
+// returns the windows and degraded windows it folded. The differential
+// test holds FoldRail to it bit for bit.
+func referenceFold(weights map[Key]float64, rail string, samples []power.Sample, period sim.Duration,
+	events []obs.Event, gaps []obs.Gap, ownerName func(int) string) (windows, degraded uint64) {
+	type ownerComp struct {
+		owner int
+		comp  string
+	}
+	type span struct {
+		start, end sim.Time
+		oc         ownerComp
+	}
+	var spans []span
+	for _, ev := range events {
+		if ev.Type == obs.TypeSpan && ev.Rail == rail {
+			spans = append(spans, span{start: ev.T, end: ev.End, oc: ownerComp{ev.Owner, ev.Cat}})
+		}
+	}
+	for _, s := range samples {
+		lo, hi := s.T, s.T.Add(period)
+		window := hi.Sub(lo)
+		occ := make(map[ownerComp]sim.Duration)
+		var clipped []span
+		var total sim.Duration
+		for _, sp := range spans {
+			a, b := max(sp.start, lo), min(sp.end, hi)
+			if b <= a {
+				continue
+			}
+			occ[sp.oc] += b.Sub(a)
+			total += b.Sub(a)
+			clipped = append(clipped, span{start: a, end: b})
+		}
+		var covered sim.Duration
+		sort.Slice(clipped, func(i, j int) bool { return clipped[i].start < clipped[j].start })
+		for i := 0; i < len(clipped); {
+			a, b := clipped[i].start, clipped[i].end
+			for i++; i < len(clipped) && clipped[i].start <= b; i++ {
+				b = max(b, clipped[i].end)
+			}
+			covered += b.Sub(a)
+		}
+		joules := float64(s.W) * period.Seconds()
+		windows++
+		for _, g := range gaps {
+			if g.From < hi && g.To > lo {
+				degraded++
+				break
+			}
+		}
+		ocs := make([]ownerComp, 0, len(occ))
+		for oc := range occ {
+			ocs = append(ocs, oc)
+		}
+		sort.Slice(ocs, func(i, j int) bool {
+			if ocs[i].owner != ocs[j].owner {
+				return ocs[i].owner < ocs[j].owner
+			}
+			return ocs[i].comp < ocs[j].comp
+		})
+		activeFrac := float64(covered) / float64(window)
+		for _, oc := range ocs {
+			frac := float64(occ[oc]) / float64(total) * activeFrac
+			weights[Key{App: ownerName(oc.owner), Comp: oc.comp, Rail: rail}] += frac * joules
+		}
+		if idle := float64(window-covered) / float64(window); idle > 0 {
+			weights[Key{App: IdleApp, Comp: IdleComp, Rail: rail}] += idle * joules
+		}
+	}
+	return windows, degraded
+}
+
+// TestFoldMatchesOracle folds seeded scenarios in two calls, as repeated
+// FoldProfile calls do, and compares the tree with referenceFold bit for
+// bit. The scenarios mix rails, several components per owner, two owners
+// named as one app, stacked spans with equal-time edges, zero-length and
+// inverted spans, sample holes and unaligned starts, and dropout gaps.
+func TestFoldMatchesOracle(t *testing.T) {
+	owners := map[int]string{0: "kernel", 1: "vision", 2: "maps", 3: "dup", 4: "dup"}
+	ownerName := func(id int) string { return owners[id] }
+	comps := []string{obs.CatSched, obs.CatAccel, obs.CatNet}
+	for seed := uint64(1); seed <= 500; seed++ {
+		r := sim.NewRand(seed)
+		period := []sim.Duration{10 * sim.Microsecond, 7 * sim.Microsecond}[r.Intn(2)]
+		var samples []power.Sample
+		at := sim.Time(r.Intn(2) * r.Intn(1000))
+		for n := r.Intn(100); n > 0; n-- {
+			if r.Intn(6) == 0 {
+				at = at.Add(sim.Duration(r.Intn(4)) * period)
+			}
+			samples = append(samples, power.Sample{T: at, W: power.Watts(r.Intn(4000)) / 3})
+			at = at.Add(period)
+		}
+		q := sim.Duration(1+r.Intn(5)) * sim.Microsecond
+		slot := func() sim.Time { return sim.Time(sim.Duration(r.Intn(1+int(sim.Duration(at)/q))) * q) }
+		var events []obs.Event
+		for n := r.Intn(60); n > 0; n-- {
+			ev := obs.Event{Type: obs.TypeSpan, Owner: r.Intn(len(owners)), Cat: comps[r.Intn(len(comps))],
+				Rail: []string{"cpu", "gpu"}[r.Intn(2)], T: slot()}
+			ev.End = ev.T.Add(sim.Duration(r.Intn(30)-3) * q) // zero-length and inverted spans included
+			if r.Intn(10) == 0 {
+				ev.Type = obs.TypeInstant
+			}
+			events = append(events, ev)
+			if r.Intn(4) == 0 {
+				events = append(events, ev)
+			}
+		}
+		var gaps []obs.Gap
+		if r.Intn(2) == 0 {
+			from := slot()
+			gaps = append(gaps, obs.Gap{From: from, To: from.Add(sim.Duration(1 + r.Intn(50000)))})
+		}
+
+		p := New()
+		p.Enable()
+		want := make(map[Key]float64)
+		var windows, degraded uint64
+		split := r.Intn(len(samples) + 1)
+		for _, part := range [][]power.Sample{samples[:split], samples[split:]} {
+			p.FoldRail("cpu", part, period, events, gaps, ownerName)
+			w, d := referenceFold(want, "cpu", part, period, events, gaps, ownerName)
+			windows, degraded = windows+w, degraded+d
+		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			if p.Windows() != windows || p.Degraded() != degraded {
+				t.Fatalf("windows=%d degraded=%d, oracle %d/%d", p.Windows(), p.Degraded(), windows, degraded)
+			}
+			if len(p.weights) != len(want) {
+				t.Fatalf("%d stacks, oracle %d: %v vs %v", len(p.weights), len(want), p.weights, want)
+			}
+			for k, w := range want {
+				if g, ok := p.weights[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s;%s;%s = %v, oracle %v", k.App, k.Comp, k.Rail, g, w)
+				}
+			}
+		})
 	}
 }
