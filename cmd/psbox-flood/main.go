@@ -7,20 +7,19 @@
 // report (admission plan, per-session verdicts, enforcement tallies,
 // energy reclaimed) is byte-stable for a (seed, ms) pair.
 //
-// With -soak it additionally runs the crash-and-resume protocol of
-// cmd/psbox-soak: kill the run at 25/50/75% of the horizon, restore from
-// the last periodic checkpoint (rebuild + deterministic replay +
-// byte-verification), run each resumed copy to the horizon, and
-// byte-compare its report against the uninterrupted golden's. The CI
-// flood-soak job diffs the -soak transcript against the goldens under
-// testdata/.
+// With -soak it additionally runs internal/soak's crash-and-resume
+// protocol, shared with cmd/psbox-soak: kill the run at 25/50/75% of the
+// horizon, restore from the last periodic checkpoint (rebuild +
+// deterministic replay + byte-verification), run each resumed copy to the
+// horizon, and byte-compare its report against the uninterrupted golden's.
+// The CI flood-soak job diffs the -soak transcript against the goldens
+// under testdata/.
 //
 // Usage:
 //
 //	psbox-flood [-seed N] [-ms D] [-soak]
 //
-// Exit status (matching psbox-soak so the fleet supervisor can reuse its
-// triage):
+// Exit status (the soak.Exit* classes shared with psbox-soak):
 //
 //	0  report produced; with -soak, every resumed report matched
 //	1  divergence: a resumed report deviated from the golden run
@@ -34,22 +33,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"psbox"
 	"psbox/internal/obs"
 	"psbox/internal/sandbox"
 	"psbox/internal/sim"
-	"psbox/internal/snapshot"
+	"psbox/internal/soak"
 )
 
-const (
-	exitOK         = 0
-	exitDivergence = 1
-	exitRestore    = 2
-	exitUsage      = 4
-)
+// exitUsage matches psbox-soak's; 0-2 are the shared soak.Exit* classes.
+const exitUsage = 4
 
 // capacityW is the flood's admittable power: low enough that the derived
 // arrival schedule overcommits it and admission control has rejections to
@@ -74,16 +68,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	if *soakMode {
-		out, code := soak(*seed, *ms)
+		out, code := soakRun(*seed, *ms)
 		fmt.Fprint(stdout, out)
 		return code
 	}
 	horizon := sim.Duration(*ms) * psbox.Millisecond
-	f := build(*seed, horizon, nil)
+	f := build(*seed, horizon)
 	f.sys.Run(horizon)
 	fmt.Fprintf(stdout, "psbox-flood seed=%d ms=%d capacity=%.1f W\n\n", *seed, *ms, capacityW)
 	fmt.Fprint(stdout, report(f))
-	return exitOK
+	return soak.ExitOK
 }
 
 // prng is a splitmix64 stream: the flood's only randomness, wholly
@@ -175,10 +169,9 @@ func specFor(a arrival, reps int) sandbox.Spec {
 // build constructs the flood scenario: the session manager over an AM57
 // system, the seed-derived arrival plan (launches scheduled at fixed
 // absolute times), fault-layer crash campaigns against the crash-loopers,
-// and checkpoint events every horizon/10. As in psbox-soak, the
-// checkpoint instants ride the trace in every run — golden, crashed,
-// resumed — so traces stay byte-identical across the crash protocol.
-func build(seed uint64, horizon sim.Duration, onCkpt func(*psbox.System, psbox.Time)) *flood {
+// and the periodic invariant audit. soakRun arms the checkpoint cadence
+// after building.
+func build(seed uint64, horizon sim.Duration) *flood {
 	sys := psbox.NewAM57(seed)
 	sys.EnableTracing()
 	mgr := sys.Sandboxes()
@@ -237,17 +230,6 @@ func build(seed uint64, horizon sim.Duration, onCkpt func(*psbox.System, psbox.T
 	}
 
 	sys.SetAuditEvery(horizon / 20)
-
-	every := horizon / 10
-	for t := psbox.Time(int64(every)); t <= psbox.Time(int64(horizon)); t = t.Add(every) {
-		tt := t
-		sys.Eng.At(tt, func(psbox.Time) {
-			sys.Trace.Instant(obs.CatCkpt, "checkpoint", 0, int64(tt), "", "")
-			if onCkpt != nil {
-				onCkpt(sys, tt)
-			}
-		})
-	}
 	return &flood{sys: sys, mgr: mgr, plan: plan}
 }
 
@@ -298,120 +280,27 @@ func report(f *flood) string {
 	return b.String()
 }
 
-// soak runs the flood under the crash-and-resume protocol and renders a
-// deterministic transcript: the golden report, then for each crash point
-// the checkpoint round-trip, the restore verdict, and the byte-comparison
-// of the resumed report against the golden.
-func soak(seed uint64, ms int64) (string, int) {
+// soakRun runs the flood under the crash-and-resume protocol and renders
+// a deterministic transcript: the golden report, then for each crash
+// point the checkpoint round-trip, the restore verdict, and the
+// byte-comparison of the resumed report against the golden.
+func soakRun(seed uint64, ms int64) (string, int) {
 	horizon := sim.Duration(ms) * psbox.Millisecond
-	var restoreFail, diverged bool
 	var b strings.Builder
 	fmt.Fprintf(&b, "psbox-flood seed=%d ms=%d capacity=%.1f W soak: checkpoints=every %d ms\n\n",
 		seed, ms, capacityW, ms/10)
 
-	golden := build(seed, horizon, nil)
-	golden.sys.Run(horizon)
-	goldenReport := report(golden)
-	fmt.Fprintln(&b, "== golden ==")
-	b.WriteString(goldenReport)
-
-	tmp, err := os.MkdirTemp("", "psbox-flood-")
+	dir, err := os.MkdirTemp("", "psbox-flood-")
 	if err != nil {
 		fmt.Fprintf(&b, "FAIL: checkpoint scratch dir: %v\n", err)
-		return b.String(), exitRestore
+		return b.String(), soak.ExitRestore
 	}
-	defer os.RemoveAll(tmp)
+	defer os.RemoveAll(dir)
 
-	for _, frac := range []float64{0.25, 0.50, 0.75} {
-		crashAt := sim.Duration(float64(horizon) * frac)
-		fmt.Fprintf(&b, "\n== crash at %d%% ==\n", int(frac*100))
-
-		// The crashed run: killed mid-churn; only the last checkpoint
-		// survives, round-tripped through a file to exercise the
-		// CRC-validated persistence path.
-		var lastBytes []byte
-		var lastAt psbox.Time
-		crashed := build(seed, horizon, func(s *psbox.System, at psbox.Time) {
-			lastBytes, lastAt = s.Snapshot(), at
-		})
-		crashed.sys.Run(crashAt)
-		if lastBytes == nil {
-			fmt.Fprintln(&b, "FAIL: no checkpoint before the crash point")
-			restoreFail = true
-			continue
-		}
-		path := filepath.Join(tmp, fmt.Sprintf("ckpt-%d.psbx", int(frac*100)))
-		if err := snapshot.WriteFile(path, lastBytes); err != nil {
-			fmt.Fprintln(&b, "FAIL: write checkpoint:", err)
-			restoreFail = true
-			continue
-		}
-		restoredBytes, err := snapshot.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(&b, "FAIL: read checkpoint:", err)
-			restoreFail = true
-			continue
-		}
-		fmt.Fprintf(&b, "checkpoint at %d ms (%d bytes, crc ok)\n",
-			int64(lastAt)/int64(psbox.Millisecond), len(restoredBytes))
-
-		// The resumed run: rebuild, replay, byte-verify at the
-		// checkpoint instant, run to the horizon.
-		var restoreErr error
-		restored := false
-		resumed := build(seed, horizon, func(s *psbox.System, at psbox.Time) {
-			if at == lastAt && !restored {
-				restoreErr = s.Restore(restoredBytes)
-				restored = true
-			}
-		})
-		resumed.sys.Run(horizon)
-		switch {
-		case !restored:
-			fmt.Fprintln(&b, "FAIL: resume never reached the checkpoint instant")
-			restoreFail = true
-		case restoreErr != nil:
-			fmt.Fprintf(&b, "FAIL: restore verification: %v\n", restoreErr)
-			restoreFail = true
-		default:
-			fmt.Fprintln(&b, "restore verified")
-		}
-		if got := report(resumed); got != goldenReport {
-			fmt.Fprintln(&b, "FAIL: resumed report diverges from golden:")
-			b.WriteString(diffLines(goldenReport, got))
-			diverged = true
-		} else {
-			fmt.Fprintln(&b, "resumed report identical to golden")
-		}
-	}
-
-	code := exitOK
-	verdict := "ok"
-	switch {
-	case restoreFail:
-		code, verdict = exitRestore, "FAIL"
-	case diverged:
-		code, verdict = exitDivergence, "FAIL"
-	}
-	fmt.Fprintf(&b, "\nverdict: %s\n", verdict)
+	v, _ := soak.Crash(&b, dir, horizon, horizon/10, func() soak.Run {
+		f := build(seed, horizon)
+		return soak.Run{Sys: f.sys, Report: func() string { return report(f) }}
+	})
+	code := v.Finish(&b)
 	return b.String(), code
-}
-
-// diffLines renders a compact first-divergence view of two reports.
-func diffLines(want, got string) string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	var b strings.Builder
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var lw, lg string
-		if i < len(w) {
-			lw = w[i]
-		}
-		if i < len(g) {
-			lg = g[i]
-		}
-		if lw != lg {
-			fmt.Fprintf(&b, "  line %d:\n  - %s\n  + %s\n", i+1, lw, lg)
-		}
-	}
-	return b.String()
 }

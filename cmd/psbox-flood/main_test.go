@@ -7,6 +7,7 @@ import (
 
 	"psbox"
 	"psbox/internal/sandbox"
+	"psbox/internal/soak"
 )
 
 // TestReportDeterminism: the flood report is byte-identical across runs
@@ -34,7 +35,7 @@ func TestReportDeterminism(t *testing.T) {
 // the backlog bound.
 func TestEnforcementVerdicts(t *testing.T) {
 	horizon := 1000 * psbox.Millisecond
-	f := build(42, horizon, nil)
+	f := build(42, horizon)
 	f.sys.Run(horizon)
 
 	kinds := map[string]int{}
@@ -88,8 +89,8 @@ func TestSoakRestoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		ms = 400
 	}
-	out, code := soak(42, ms)
-	if code != exitOK {
+	out, code := soakRun(42, ms)
+	if code != soak.ExitOK {
 		t.Fatalf("soak exit %d:\n%s", code, out)
 	}
 	if n := strings.Count(out, "resumed report identical to golden"); n != 3 {
@@ -104,7 +105,7 @@ func TestSoakRestoreEquivalence(t *testing.T) {
 // a flood that starts overcommitted admits late arrivals.
 func TestChurnFreesHeadroom(t *testing.T) {
 	horizon := 1000 * psbox.Millisecond
-	f := build(42, horizon, nil)
+	f := build(42, horizon)
 	f.sys.Run(horizon)
 	var late bool
 	for _, a := range f.plan {

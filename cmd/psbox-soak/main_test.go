@@ -5,51 +5,29 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"psbox"
+	"psbox/internal/soak"
 )
 
-// TestExitCodes tables every documented exit status. The restore-failure
-// and divergence rows use the package's test seams to corrupt,
-// respectively, the checkpoint bytes read back from disk and a resumed
-// run's report — each exercising the full protocol around the injected
-// fault.
+// TestExitCodes tables the exit statuses this command owns. The
+// divergence and restore-failure classes, and their precedence, are the
+// shared harness's and are tabled in internal/soak.
 func TestExitCodes(t *testing.T) {
-	mangleCkpt := func(b []byte) []byte {
-		out := append([]byte(nil), b...)
-		out[len(out)/2] ^= 0x01
-		return out
-	}
-	mangleRep := func(s string) string { return strings.Replace(s, "battery=", "battery=9", 1) }
-
 	tests := []struct {
 		name       string
 		args       []string
-		ckpt       func([]byte) []byte
-		report     func(string) string
 		want       int
 		wantStdout string // "" skips the check
 		wantStderr string
 	}{
 		{
 			name: "ok", args: []string{"-seed", "7", "-ms", "100"},
-			want: exitOK, wantStdout: "verdict: ok",
-		},
-		{
-			name: "divergence", args: []string{"-seed", "7", "-ms", "100"},
-			report: mangleRep,
-			want:   exitDivergence, wantStdout: "resumed report diverges from golden",
-		},
-		{
-			name: "restore failure", args: []string{"-seed", "7", "-ms", "100"},
-			ckpt: mangleCkpt,
-			want: exitRestore, wantStdout: "FAIL: restore verification",
-		},
-		{
-			// Both classes at once: restore failure must win the exit code.
-			name: "restore failure outranks divergence", args: []string{"-seed", "7", "-ms", "100"},
-			ckpt: mangleCkpt, report: mangleRep,
-			want: exitRestore,
+			want: soak.ExitOK, wantStdout: "verdict: ok",
 		},
 		{
 			name: "timeout", args: []string{"-seed", "7", "-ms", "60000", "-timeout", "50ms"},
@@ -66,8 +44,8 @@ func TestExitCodes(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			mangleCheckpoint, mangleReport = tc.ckpt, tc.report
-			defer func() { mangleCheckpoint, mangleReport = nil, nil }()
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
 			var stdout, stderr bytes.Buffer
 			if got := run(tc.args, &stdout, &stderr); got != tc.want {
 				t.Errorf("exit code = %d, want %d\nstdout:\n%s\nstderr:\n%s",
@@ -79,23 +57,28 @@ func TestExitCodes(t *testing.T) {
 			if tc.wantStderr != "" && !strings.Contains(stderr.String(), tc.wantStderr) {
 				t.Errorf("stderr missing %q:\n%s", tc.wantStderr, stderr.String())
 			}
+			// The checkpoint dir is gone once run returns, on the timeout
+			// path too, where the soak goroutine is still running.
+			if left, _ := filepath.Glob(filepath.Join(tmp, "psbox-soak-*")); len(left) > 0 {
+				entries, _ := os.ReadDir(left[0])
+				t.Errorf("checkpoint dir left behind: %v (%d entries)", left, len(entries))
+			}
 		})
 	}
 }
 
-// TestVerdictCode pins the precedence fold directly.
-func TestVerdictCode(t *testing.T) {
-	for _, tc := range []struct {
-		restoreFail, diverged bool
-		want                  int
-	}{
-		{false, false, exitOK},
-		{false, true, exitDivergence},
-		{true, false, exitRestore},
-		{true, true, exitRestore},
-	} {
-		if got := verdictCode(tc.restoreFail, tc.diverged); got != tc.want {
-			t.Errorf("verdictCode(%v, %v) = %d, want %d", tc.restoreFail, tc.diverged, got, tc.want)
-		}
+// TestLockstepRestoreFailure: a lockstep replica that cannot verify its
+// checkpoint is a restore failure, not a divergence.
+func TestLockstepRestoreFailure(t *testing.T) {
+	horizon := 100 * psbox.Millisecond
+	other := build(8, horizon)
+	tape := soak.Arm(other, horizon/10, horizon, nil)
+	other.Run(horizon / 2)
+
+	var b strings.Builder
+	var v soak.Verdict
+	lockstep(&b, &v, 7, horizon, tape.Latest)
+	if v != (soak.Verdict{RestoreFail: true}) || !strings.Contains(b.String(), "FAIL: lockstep replica 0 restore:") {
+		t.Errorf("lockstep from another seed's checkpoint: verdict %+v, transcript:\n%s", v, b.String())
 	}
 }

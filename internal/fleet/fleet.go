@@ -43,6 +43,7 @@ import (
 
 	"psbox"
 	"psbox/internal/sim"
+	"psbox/internal/soak"
 )
 
 // FailureKind classifies one shard failure (the taxonomy of DESIGN.md
@@ -292,7 +293,7 @@ type shardCtl struct {
 // touches is shared). The synthesized hang failure records the sim-time
 // progress point — a quantum boundary, deterministic for a fixed chaos
 // plan — never any wall-clock value.
-func superviseAttempt(cfg Config, st *shardState, attempt int, resume *checkpointRec) attemptResult {
+func superviseAttempt(cfg Config, st *shardState, attempt int, resume *soak.Checkpoint) attemptResult {
 	//psbox:allow-noconcurrency the cancel channel is the watchdog's only signal into the attempt; closing it is the cooperative cancellation protocol
 	ctl := &shardCtl{cancel: make(chan struct{})}
 	//psbox:allow-noconcurrency buffered size 1 so an abandoned attempt's final send never blocks its goroutine forever
@@ -404,7 +405,7 @@ func runShard(cfg Config, shard int) ShardOutcome {
 			// Chaos checkpoint corruption: replace (never mutate — an
 			// abandoned attempt may still hold the old bytes) the stored
 			// checkpoint with a bit-flipped copy.
-			st.last = &checkpointRec{At: st.last.At, Bytes: corruptCopy(st.last.Bytes)}
+			st.last = &soak.Checkpoint{At: st.last.At, Bytes: corruptCopy(st.last.Bytes)}
 		}
 		if attempt >= cfg.MaxRetries {
 			out.Quarantined = true
