@@ -14,7 +14,7 @@
 //	noconcurrency  — no goroutines, channels, or sync in sim packages
 //	maporder       — no order-sensitive work inside map-range loops
 //	energyaccum    — no ad-hoc += into energy/joule/charge accumulators
-//	snapshotstate  — no stateful fields missing from Snapshot/Restore
+//	snapshotstate  — no stateful fields missing from Snapshot
 //	obsdeterminism — no fmt.Fprint*/log.* in instrumented packages
 //	walltaint      — no wall-clock/env/pid-derived values reaching sim
 //	                 state, snapshot writers, or obs events (whole-program)

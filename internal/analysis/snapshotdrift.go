@@ -5,28 +5,22 @@ import (
 	"go/ast"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // SnapshotDrift upgrades the checkpoint contract from "has snapshot
 // methods that mention the field somewhere in the file" (snapshotstate)
 // to "the methods are complete": for every type with signature-detected
-// Snapshot/Restore machinery — methods taking a
-// *psbox/internal/snapshot.Encoder or *Decoder — each stateful field must
-// be referenced by the encoding methods themselves, and by the decoding
-// methods. A field that snapshotstate accepts because a helper in the
-// same file touches it, but that the Snapshot method never encodes, is
-// exactly the drift that breaks the replay-twin contract when a
-// crash-and-resume run restores from a checkpoint missing that state.
+// snapshot machinery — methods taking a *psbox/internal/snapshot.Encoder
+// — each stateful field must be referenced by those methods themselves.
+// A field that snapshotstate accepts because a helper in the same file
+// touches it, but that the Snapshot method never encodes, is exactly the
+// drift that breaks the replay-twin contract when a crash-and-resume run
+// restores from a checkpoint missing that state.
 //
-// Coverage is per direction. Encoder coverage is the union of field
-// references across every Encoder-taking method of the type (delegating
-// helpers that also take the Encoder count). Decoder coverage is the
-// union across Decoder-taking methods, and a decoding method that
-// references an encoding method of the same type — the replay-twin
-// pattern, RestoreSnapshot(dec) = snapshot.Verify(dec, c.Snapshot) —
-// imports the encoder side's coverage, because Verify re-runs Snapshot
-// against the decoded payload.
+// Coverage is the union of field references across every Encoder-taking
+// method of the type, so delegating helpers that also take the Encoder
+// count. Restore needs no coverage of its own: the checkpoint registry
+// verifies a section by re-running the same Snapshot method.
 //
 // Stateful fields exclude what the checkpoint legitimately skips:
 // func-typed fields (wiring, rebuilt by scenario reconstruction), fields
@@ -39,32 +33,24 @@ import (
 var SnapshotDrift = &Analyzer{
 	Name: "snapshotdrift",
 	Doc: `flag stateful fields of snapshotted structs that the
-Encoder-taking methods never encode or the Decoder-taking methods never
-restore; per-method coverage, with replay-twin Restore methods inheriting
-the Snapshot side's coverage.`,
+Encoder-taking methods never encode; per-method coverage, where
+snapshotstate accepts any reference in the same file.`,
 	Run: runSnapshotDrift,
 }
 
-// snapMethod is one Encoder- or Decoder-taking method of a type.
-type snapMethod struct {
-	decl *ast.FuncDecl
-	enc  bool // takes *snapshot.Encoder
-	dec  bool // takes *snapshot.Decoder
-}
-
-// snapRecv resolves a method declaration to its named receiver type when
-// the method participates in snapshot machinery.
-func snapRecv(info *types.Info, fd *ast.FuncDecl) (*types.Named, *types.Signature) {
+// snapRecv resolves a method declaration to its named struct receiver
+// type when the method takes a *snapshot.Encoder.
+func snapRecv(info *types.Info, fd *ast.FuncDecl) *types.Named {
 	if fd.Recv == nil {
-		return nil, nil
+		return nil
 	}
 	obj, ok := info.Defs[fd.Name].(*types.Func)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil, nil
+	if !ok || sig.Recv() == nil || !hasSnapParam(sig) {
+		return nil
 	}
 	recv := sig.Recv().Type()
 	if p, ok := recv.(*types.Pointer); ok {
@@ -72,37 +58,12 @@ func snapRecv(info *types.Info, fd *ast.FuncDecl) (*types.Named, *types.Signatur
 	}
 	named, ok := recv.(*types.Named)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil, nil
+		return nil
 	}
-	return named, sig
-}
-
-// sigSnapDirections reports which snapshot halves a signature binds.
-func sigSnapDirections(sig *types.Signature) (enc, dec bool) {
-	for i := 0; i < sig.Params().Len(); i++ {
-		p, ok := sig.Params().At(i).Type().(*types.Pointer)
-		if !ok {
-			continue
-		}
-		named, ok := p.Elem().(*types.Named)
-		if !ok {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Pkg() == nil || obj.Pkg().Path() != "psbox/internal/snapshot" {
-			continue
-		}
-		switch obj.Name() {
-		case "Encoder":
-			enc = true
-		case "Decoder":
-			dec = true
-		}
-	}
-	return enc, dec
+	return named
 }
 
 // configTagged reports whether a struct field is tagged `psbox:"config"`
@@ -193,130 +154,64 @@ func (p *Pass) encodeLineFix(m *ast.FuncDecl, field *types.Var) []SuggestedFix {
 }
 
 func runSnapshotDrift(pass *Pass) {
-	// Collect every snapshot method per named struct type in this package.
-	methods := make(map[*types.Named][]snapMethod)
+	// Collect every Encoder-taking method per named struct type in this
+	// package.
+	methods := make(map[*types.Named][]*ast.FuncDecl)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			named, sig := snapRecv(pass.Info, fd)
-			if named == nil {
-				continue
+			if named := snapRecv(pass.Info, fd); named != nil {
+				methods[named] = append(methods[named], fd)
 			}
-			enc, dec := sigSnapDirections(sig)
-			if !enc && !dec {
-				continue
-			}
-			methods[named] = append(methods[named], snapMethod{decl: fd, enc: enc, dec: dec})
 		}
-	}
-	if len(methods) == 0 {
-		return
 	}
 
 	for named, ms := range methods {
 		st := named.Underlying().(*types.Struct)
 
-		// Per-direction field coverage, plus the set of same-type methods
-		// each decoding method references (for replay-twin inheritance).
-		encCover := make(map[types.Object]bool)
-		decCover := make(map[types.Object]bool)
-		encMethods := make(map[types.Object]bool)
+		cover := make(map[types.Object]bool)
 		for _, m := range ms {
-			if m.enc {
-				if obj := pass.Info.Defs[m.decl.Name]; obj != nil {
-					encMethods[obj] = true
-				}
-			}
-		}
-		decDelegates := false
-		for _, m := range ms {
-			ast.Inspect(m.decl.Body, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				use := pass.Info.Uses[id]
-				if v, ok := use.(*types.Var); ok && v.IsField() {
-					if m.enc {
-						encCover[v] = true
+			ast.Inspect(m.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if v, ok := pass.Info.Uses[id].(*types.Var); ok && v.IsField() {
+						cover[v] = true
 					}
-					if m.dec {
-						decCover[v] = true
-					}
-				}
-				if m.dec && use != nil && encMethods[use] {
-					// The decoding method re-runs an encoding method of
-					// the same type (replay-twin Verify): everything the
-					// encoder side covers is read back here.
-					decDelegates = true
 				}
 				return true
 			})
 		}
-		if decDelegates {
-			for v := range encCover {
-				decCover[v] = true
-			}
-		}
-
-		hasEnc, hasDec := false, false
-		for _, m := range ms {
-			hasEnc = hasEnc || m.enc
-			hasDec = hasDec || m.dec
-		}
 
 		// The first Encoder-taking method in declaration order is where a
 		// suggested fix appends a missing encode line.
-		var firstEnc *ast.FuncDecl
+		first := ms[0]
 		for _, m := range ms {
-			if m.enc && (firstEnc == nil || m.decl.Pos() < firstEnc.Pos()) {
-				firstEnc = m.decl
+			if m.Pos() < first.Pos() {
+				first = m
 			}
 		}
 
-		// Deterministic field order; one finding names the field and the
-		// missing half.
-		type miss struct {
-			field   *types.Var
-			half    string
-			encMiss bool
-		}
-		var misses []miss
+		// Fields in declaration order, one finding each.
 		for i := 0; i < st.NumFields(); i++ {
 			field := st.Field(i)
 			if field.Name() == "_" || exemptField(field.Type()) || configTagged(st.Tag(i)) {
 				continue
 			}
-			if pass.allowedFor(SnapshotState.Name, field.Pos()) {
+			if pass.allowedFor(SnapshotState.Name, field.Pos()) || cover[field] {
 				continue
 			}
-			if hasEnc && !encCover[field] {
-				misses = append(misses, miss{field, "encoded by its Encoder-taking methods", true})
-				continue
-			}
-			if hasDec && !decCover[field] {
-				misses = append(misses, miss{field, "read back by its Decoder-taking methods", false})
-			}
-		}
-		sort.Slice(misses, func(i, j int) bool { return misses[i].field.Pos() < misses[j].field.Pos() })
-		for _, m := range misses {
-			// An encoder-side miss of a basic-typed field has a mechanical
-			// remedy: append the encode call to the first Snapshot method
-			// (replay-twin Restore then re-reads it for free). Everything
-			// else falls back to a reviewable waiver stub.
-			var fixes []SuggestedFix
-			if m.encMiss && firstEnc != nil {
-				fixes = pass.encodeLineFix(firstEnc, m.field)
-			}
+			// A basic-typed field has a mechanical remedy: append the
+			// encode call to the first Snapshot method. Everything else
+			// falls back to a reviewable waiver stub.
+			fixes := pass.encodeLineFix(first, field)
 			if fixes == nil {
-				fixes = pass.directiveStubFix(m.field.Pos())
+				fixes = pass.directiveStubFix(field.Pos())
 			}
-			pass.Report(m.field.Pos(),
-				fmt.Sprintf("field %s of snapshotted struct %s is not %s; checkpoint state has drifted from the struct",
-					m.field.Name(), named.Obj().Name(), m.half),
+			pass.Report(field.Pos(),
+				fmt.Sprintf("field %s of snapshotted struct %s is not encoded by its Encoder-taking methods; checkpoint state has drifted from the struct",
+					field.Name(), named.Obj().Name()),
 				fixes...)
 		}
 	}

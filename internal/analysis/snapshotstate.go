@@ -6,9 +6,9 @@ import (
 )
 
 // SnapshotState flags stateful fields of snapshotted structs that their
-// Snapshot/Restore machinery never references. A struct is "snapshotted"
-// when it has a method — any name, exported or not — taking a
-// *psbox/internal/snapshot.Encoder or *Decoder parameter; from then on
+// Snapshot machinery never references. A struct is "snapshotted" when it
+// has a method — any name, exported or not — taking a
+// *psbox/internal/snapshot.Encoder parameter; from then on
 // every field is part of the checkpoint contract: a field added later but
 // not encoded silently drops state from the checkpoint, and the byte
 // divergence only surfaces when a crash-and-resume run happens to disturb
@@ -17,8 +17,8 @@ import (
 //
 //   - func-typed fields (closures are wiring, rebuilt by scenario
 //     reconstruction), and
-//   - fields whose element type itself has an Encoder/Decoder-taking
-//     method (the field is covered by delegation).
+//   - fields whose element type itself has an Encoder-taking method (the
+//     field is covered by delegation).
 //
 // Everything else must either appear in a file holding the struct's
 // snapshot methods, or carry a reasoned directive:
@@ -27,14 +27,14 @@ import (
 var SnapshotState = &Analyzer{
 	Name: "snapshotstate",
 	Doc: `flag fields of snapshotted structs (structs with a method taking a
-*psbox/internal/snapshot.Encoder or *Decoder) that are not referenced in
-any file containing those methods; unencoded fields silently fall out of
-the checkpoint contract.`,
+*psbox/internal/snapshot.Encoder) that are not referenced in any file
+containing those methods; unencoded fields silently fall out of the
+checkpoint contract.`,
 	Run: runSnapshotState,
 }
 
-// isSnapEncDec reports whether t is *snapshot.Encoder or *snapshot.Decoder.
-func isSnapEncDec(t types.Type) bool {
+// isSnapEnc reports whether t is *snapshot.Encoder.
+func isSnapEnc(t types.Type) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -44,14 +44,13 @@ func isSnapEncDec(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "psbox/internal/snapshot" &&
-		(obj.Name() == "Encoder" || obj.Name() == "Decoder")
+	return obj.Pkg() != nil && obj.Pkg().Path() == "psbox/internal/snapshot" && obj.Name() == "Encoder"
 }
 
-// hasSnapParam reports whether the signature takes an Encoder or Decoder.
+// hasSnapParam reports whether the signature takes an Encoder.
 func hasSnapParam(sig *types.Signature) bool {
 	for i := 0; i < sig.Params().Len(); i++ {
-		if isSnapEncDec(sig.Params().At(i).Type()) {
+		if isSnapEnc(sig.Params().At(i).Type()) {
 			return true
 		}
 	}
@@ -185,7 +184,7 @@ func runSnapshotState(pass *Pass) {
 				continue
 			}
 			pass.Reportf(field.Pos(),
-				"field %s of snapshotted struct %s is not referenced by its Snapshot/Restore machinery; encode it or annotate why replay reconstructs it",
+				"field %s of snapshotted struct %s is not referenced by its Snapshot machinery; encode it or annotate why replay reconstructs it",
 				field.Name(), named.Obj().Name())
 		}
 	}

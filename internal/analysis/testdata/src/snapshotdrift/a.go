@@ -13,10 +13,9 @@ type Sub struct {
 
 func (s *Sub) Snapshot(enc *snapshot.Encoder) { enc.U64(s.count) }
 
-// Twin is the replay-twin shape used throughout the simulator: Snapshot
-// encodes every stateful field, Restore re-runs Snapshot against the
-// decoded payload via Verify — so Restore inherits Snapshot's coverage
-// and the type is clean.
+// Twin is the shape used throughout the simulator: Snapshot encodes every
+// stateful field (the checkpoint registry verifies a restore by re-running
+// it), so the type is clean.
 type Twin struct {
 	id    int64
 	name  string
@@ -34,10 +33,6 @@ func (t *Twin) Snapshot(enc *snapshot.Encoder) {
 	t.sub.Snapshot(enc)
 }
 
-func (t *Twin) Restore(dec *snapshot.Decoder) error {
-	return snapshot.Verify(dec, t.Snapshot)
-}
-
 // Drifted is exactly the gap snapshotstate cannot see: the skew field is
 // referenced by a helper in this file, so the whole-file check passes,
 // but the Snapshot method itself never encodes it — the checkpoint is
@@ -51,31 +46,9 @@ func (d *Drifted) Snapshot(enc *snapshot.Encoder) {
 	enc.I64(d.kept)
 }
 
-func (d *Drifted) Restore(dec *snapshot.Decoder) error {
-	return snapshot.Verify(dec, d.Snapshot)
-}
-
 // touchSkew references the drifted field outside the snapshot methods;
 // it must not count as coverage.
 func touchSkew(d *Drifted) int64 { return d.skew }
-
-// Split has hand-written decode logic instead of a replay twin. The
-// encoder side covers both fields; the decoder side reads only one, so
-// the other is restored from garbage after a crash.
-type Split struct {
-	a uint64
-	b uint64 // want `field b of snapshotted struct Split is not read back by its Decoder-taking methods`
-}
-
-func (s *Split) Snapshot(enc *snapshot.Encoder) {
-	enc.U64(s.a)
-	enc.U64(s.b)
-}
-
-func (s *Split) Restore(dec *snapshot.Decoder) error {
-	s.a = dec.U64()
-	return nil
-}
 
 // Helper coverage: an Encoder-taking helper method participates in the
 // encoding side, so fields it covers are complete even though the
@@ -94,22 +67,6 @@ func (c *Chunked) snapshotTail(enc *snapshot.Encoder) {
 	enc.U64(c.tail)
 }
 
-func (c *Chunked) Restore(dec *snapshot.Decoder) error {
-	return snapshot.Verify(dec, c.Snapshot)
-}
-
-// DecOnly is detected through a Decoder-taking method alone; fields it
-// never reads are flagged on the decoder half.
-type DecOnly struct {
-	kept    int64
-	dropped int64 // want `field dropped of snapshotted struct DecOnly is not read back by its Decoder-taking methods`
-}
-
-func (l *DecOnly) restore(dec *snapshot.Decoder) error {
-	l.kept = int64(dec.U64())
-	return nil
-}
-
 // Waived: a reasoned snapshotdrift directive silences the finding
 // without touching the snapshotstate waiver.
 type Waived struct {
@@ -120,10 +77,6 @@ type Waived struct {
 
 func (w *Waived) Snapshot(enc *snapshot.Encoder) {
 	enc.I64(w.kept)
-}
-
-func (w *Waived) Restore(dec *snapshot.Decoder) error {
-	return snapshot.Verify(dec, w.Snapshot)
 }
 
 // Plain has no snapshot methods: nothing to check.

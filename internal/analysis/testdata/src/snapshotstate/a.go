@@ -11,7 +11,7 @@ type Delegate struct {
 
 func (d *Delegate) Snapshot(enc *snapshot.Encoder) { enc.U64(d.count) }
 
-// Machine is snapshotted (Snapshot/Restore with Encoder/Decoder params).
+// Machine is snapshotted (a Snapshot method with an Encoder param).
 type Machine struct {
 	id      int64
 	name    string
@@ -34,10 +34,6 @@ func (m *Machine) Snapshot(enc *snapshot.Encoder) {
 	m.sub.Snapshot(enc)
 }
 
-func (m *Machine) Restore(dec *snapshot.Decoder) error {
-	return snapshot.Verify(dec, m.Snapshot)
-}
-
 // helper is part of the snapshot machinery because it lives in the same
 // file: fields it references count as covered.
 func helper(enc *snapshot.Encoder, m *Machine) {
@@ -46,16 +42,15 @@ func helper(enc *snapshot.Encoder, m *Machine) {
 	}
 }
 
-// lowercase is detected through an unexported method with a Decoder
+// lowercase is detected through an unexported method with an Encoder
 // parameter — the method name does not matter, only the signature.
 type lowercase struct {
 	kept    int64
 	dropped int64 // want `field dropped of snapshotted struct lowercase is not referenced`
 }
 
-func (l *lowercase) restore(dec *snapshot.Decoder) error {
-	_ = l.kept
-	return nil
+func (l *lowercase) encode(enc *snapshot.Encoder) {
+	enc.I64(l.kept)
 }
 
 // Plain has no snapshot methods: not snapshotted, nothing to report.

@@ -173,7 +173,7 @@ func TestWriteTopRanksAndTiesDeterministically(t *testing.T) {
 }
 
 // Two identical fold sequences must produce byte-identical snapshots, and
-// Restore against the twin verifies clean.
+// the twin's Snapshot verifies clean against them.
 func TestSnapshotRoundTrip(t *testing.T) {
 	mk := func() *Profiler {
 		p := New()
@@ -190,12 +190,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if string(ba) != string(bb) {
 		t.Fatal("identical folds produced different snapshot bytes")
 	}
-	if err := b.Restore(snapshot.NewDecoder(ba)); err != nil {
+	if err := snapshot.Verify(ba, b.Snapshot); err != nil {
 		t.Fatalf("twin restore: %v", err)
 	}
 	// A diverged twin must be rejected.
 	b.weights[Key{App: "vision", Comp: "sched", Rail: "cpu"}] += 1e-6
-	if err := b.Restore(snapshot.NewDecoder(ba)); err == nil {
+	if err := snapshot.Verify(ba, b.Snapshot); err == nil {
 		t.Fatal("diverged profiler passed snapshot verification")
 	}
 }

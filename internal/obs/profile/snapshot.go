@@ -40,7 +40,3 @@ func (p *Profiler) Snapshot(enc *snapshot.Encoder) {
 		enc.F64(p.weights[k])
 	}
 }
-
-// Restore verifies the live profiler against a checkpoint section, per
-// the replay-twin contract.
-func (p *Profiler) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, p.Snapshot) }

@@ -72,7 +72,3 @@ func (b *Bus) Snapshot(enc *snapshot.Encoder) {
 		}
 	}
 }
-
-// Restore verifies the live bus against a checkpoint section, per the
-// replay-twin contract.
-func (b *Bus) Restore(dec *snapshot.Decoder) error { return snapshot.Verify(dec, b.Snapshot) }

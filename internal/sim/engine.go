@@ -8,17 +8,19 @@ import (
 // Event is a callback scheduled to fire at a simulated instant.
 type Event func(now Time)
 
-// Handle identifies a scheduled event so it can be cancelled. The zero
+// Handle identifies a scheduled event so it can be cancelled. It carries
+// the queued item itself, so Cancel needs no lookup table. The zero
 // Handle is invalid.
 type Handle struct {
+	it  *item
 	seq uint64
 }
 
 type item struct {
 	at    Time
 	seq   uint64 // tie-break: FIFO among events at the same instant
-	fn    Event
-	index int // heap index; -1 once popped or cancelled
+	fn    Event  // nil once the item leaves the queue
+	index int    // heap index; -1 once popped or cancelled
 }
 
 type eventQueue []*item
@@ -60,8 +62,6 @@ type Engine struct {
 	now     Time
 	nextSeq uint64
 	queue   eventQueue
-	//psbox:allow-snapshotstate cancellation index over queue; same content, rebuilt by replay
-	byName map[uint64]*item
 	//psbox:allow-snapshotstate transient re-entrancy guard; true whenever a checkpoint event could observe it
 	running bool
 	fired   uint64
@@ -89,7 +89,7 @@ func (e *Engine) SetFiredProbe(stride uint64, fn func(now Time, fired uint64)) {
 
 // NewEngine returns an engine positioned at time zero.
 func NewEngine() *Engine {
-	return &Engine{byName: make(map[uint64]*item)}
+	return &Engine{}
 }
 
 // Now reports the current simulated time.
@@ -108,8 +108,7 @@ func (e *Engine) At(t Time, fn Event) Handle {
 	e.nextSeq++
 	it := &item{at: t, seq: e.nextSeq, fn: fn}
 	heap.Push(&e.queue, it)
-	e.byName[it.seq] = it
-	return Handle{seq: it.seq}
+	return Handle{it: it, seq: it.seq}
 }
 
 // After schedules fn to run d from now.
@@ -121,16 +120,15 @@ func (e *Engine) After(d Duration, fn Event) Handle {
 }
 
 // Cancel revokes a scheduled event. It reports whether the event was still
-// pending (false if it already fired, was cancelled, or the handle is zero).
+// pending in this engine's queue (false if it already fired, was
+// cancelled, belongs to another engine, or the handle is zero).
 func (e *Engine) Cancel(h Handle) bool {
-	it, ok := e.byName[h.seq]
-	if !ok {
+	it := h.it
+	if it == nil || it.index < 0 || it.index >= len(e.queue) || e.queue[it.index] != it {
 		return false
 	}
-	delete(e.byName, h.seq)
-	if it.index >= 0 {
-		heap.Remove(&e.queue, it.index)
-	}
+	heap.Remove(&e.queue, it.index)
+	it.fn = nil
 	return true
 }
 
@@ -146,22 +144,8 @@ func (e *Engine) Run(until Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.at > until {
-			break
-		}
-		heap.Pop(&e.queue)
-		delete(e.byName, next.seq)
-		if next.at < e.now {
-			panic("sim: event queue time went backwards")
-		}
-		e.now = next.at
-		e.fired++
-		if e.probe != nil && e.fired%e.probeStride == 0 {
-			e.probe(e.now, e.fired)
-		}
-		next.fn(e.now)
+	for len(e.queue) > 0 && e.queue[0].at <= until {
+		e.fire()
 	}
 	if until > e.now {
 		e.now = until
@@ -185,19 +169,25 @@ func (e *Engine) Drain(maxEvents uint64) bool {
 		if e.fired-start >= maxEvents {
 			return false
 		}
-		next := heap.Pop(&e.queue).(*item)
-		delete(e.byName, next.seq)
-		if next.at < e.now {
-			panic("sim: event queue time went backwards")
-		}
-		e.now = next.at
-		e.fired++
-		if e.probe != nil && e.fired%e.probeStride == 0 {
-			e.probe(e.now, e.fired)
-		}
-		next.fn(e.now)
+		e.fire()
 	}
 	return true
+}
+
+// fire pops the earliest event, advances the clock to it, and runs it.
+func (e *Engine) fire() {
+	next := heap.Pop(&e.queue).(*item)
+	if next.at < e.now {
+		panic("sim: event queue time went backwards")
+	}
+	fn := next.fn
+	next.fn = nil // a stale Handle held by a driver must not pin the closure
+	e.now = next.at
+	e.fired++
+	if e.probe != nil && e.fired%e.probeStride == 0 {
+		e.probe(e.now, e.fired)
+	}
+	fn(e.now)
 }
 
 // Every schedules fn at a fixed period, starting one period from now. The

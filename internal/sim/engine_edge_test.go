@@ -17,7 +17,6 @@ func TestDrainMonotonicityPanic(t *testing.T) {
 	e.nextSeq++
 	it := &item{at: 5, seq: e.nextSeq, fn: func(Time) {}}
 	heap.Push(&e.queue, it)
-	e.byName[it.seq] = it
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Drain executed an event from the past without panicking")
@@ -74,5 +73,47 @@ func TestEveryStopTwiceFromInsideTick(t *testing.T) {
 	e.Run(400)
 	if n != 2 {
 		t.Fatalf("fired after stop: %d", n)
+	}
+}
+
+// TestEngineCancelForeignHandle: a handle is bound to the engine that
+// issued it. Two engines allocate the same sequence numbers, so a handle
+// from one must not cancel the other's event with the same seq.
+func TestEngineCancelForeignHandle(t *testing.T) {
+	a, b := NewEngine(), NewEngine()
+	firedA, firedB := false, false
+	a.At(10, func(Time) { firedA = true })
+	hb := b.At(10, func(Time) { firedB = true })
+	if hb.Seq() != 1 {
+		t.Fatalf("seq = %d; the test needs both engines at seq 1", hb.Seq())
+	}
+	if a.Cancel(hb) {
+		t.Fatal("engine a cancelled an event through engine b's handle")
+	}
+	if a.Pending() != 1 || b.Pending() != 1 {
+		t.Fatalf("pending = %d/%d after a foreign cancel, want 1/1", a.Pending(), b.Pending())
+	}
+	a.Run(100)
+	b.Run(100)
+	if !firedA || !firedB {
+		t.Fatalf("fired = %v/%v, want both", firedA, firedB)
+	}
+}
+
+// TestEngineReleasesCallbacks: once an event fires or is cancelled, a
+// handle still held by a driver field no longer references its closure.
+func TestEngineReleasesCallbacks(t *testing.T) {
+	e := NewEngine()
+	fired := e.At(10, func(Time) {})
+	cancelled := e.At(20, func(Time) {})
+	if !e.Cancel(cancelled) {
+		t.Fatal("pending event not cancelled")
+	}
+	e.Run(100)
+	if fired.it.fn != nil || cancelled.it.fn != nil {
+		t.Fatal("a spent handle still pins its callback")
+	}
+	if e.Cancel(fired) || e.Cancel(cancelled) {
+		t.Fatal("a spent handle cancelled something")
 	}
 }

@@ -26,8 +26,8 @@ func resealCRC(data []byte) []byte {
 }
 
 // FuzzRestore feeds arbitrary bytes through the full hostile-input
-// surface — Parse, Registry.Restore, Diff, and each section's payload
-// decoder. The contract under fuzz: malformed input may only ever return
+// surface — Parse, Registry.Restore, Diff, and the Decoder that frames
+// them. The contract under fuzz: malformed input may only ever return
 // an error. No panic, no runtime fault, and no allocation sized by an
 // unvalidated length field.
 func FuzzRestore(f *testing.F) {
@@ -69,7 +69,7 @@ func FuzzRestore(f *testing.F) {
 		}
 
 		// Restore against a live registry: errors only, never a panic,
-		// regardless of what the payload decoders read.
+		// whatever the payloads hold.
 		valid, reg := fuzzCheckpoint()
 		_ = reg.Restore(data)
 
@@ -78,7 +78,7 @@ func FuzzRestore(f *testing.F) {
 		_ = Diff(valid, data)
 		_ = Diff(data, data)
 
-		// Drain a raw decoder over the input the way section decoders do:
+		// Drain a raw decoder over the input with mixed-width reads:
 		// sticky errors must hold, reads past the end must return zeros.
 		d := NewDecoder(data)
 		for d.Err() == nil && d.Remaining() > 0 {

@@ -11,11 +11,11 @@
 //
 // Restore follows the replay-twin contract (DESIGN.md): a checkpoint is
 // never "applied" to a live system. The caller deterministically rebuilds
-// the scenario, replays it to the checkpoint instant, and each section's
-// Restore re-encodes the live state and byte-compares it against the
-// checkpoint payload, failing loudly at the first divergence. Applying
-// state would silently mask replay divergence; verification makes the
-// restore guarantee checkable.
+// the scenario, replays it to the checkpoint instant, and Registry.Restore
+// re-runs each section's Snapshot on the live state and byte-compares it
+// against the checkpoint payload, failing loudly at the first divergence.
+// Applying state would silently mask replay divergence; verification
+// makes the restore guarantee checkable.
 package snapshot
 
 import (
@@ -118,13 +118,6 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining reports how many bytes are left unread.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-// Rest consumes and returns every unread byte.
-func (d *Decoder) Rest() []byte {
-	b := d.buf[d.off:]
-	d.off = len(d.buf)
-	return b
-}
-
 func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
@@ -207,18 +200,16 @@ func (d *Decoder) Blob() []byte {
 }
 
 // A Snapshotter is one stateful layer: Snapshot writes its canonical
-// encoding; Restore checks a checkpoint payload against the layer's live
-// state per the replay-twin contract (usually one Verify call).
+// encoding. Restoring it needs nothing more — the Registry re-runs
+// Snapshot on the replay twin and byte-compares the result.
 type Snapshotter interface {
 	Snapshot(*Encoder)
-	Restore(*Decoder) error
 }
 
-// Verify is the standard Restore body: re-encode the live state with live
-// and byte-compare it against the remaining checkpoint payload, reporting
-// the first diverging offset.
-func Verify(dec *Decoder, live func(*Encoder)) error {
-	want := dec.Rest()
+// Verify re-encodes live state with live and byte-compares it against a
+// checkpoint payload, reporting the first diverging offset. It is the
+// whole of restore: Registry.Restore calls it once per section.
+func Verify(want []byte, live func(*Encoder)) error {
 	enc := NewEncoder()
 	live(enc)
 	got := enc.Data()
@@ -228,12 +219,6 @@ func Verify(dec *Decoder, live func(*Encoder)) error {
 	off := firstDiff(want, got)
 	return fmt.Errorf("live state diverges from checkpoint at byte %d (checkpoint %d bytes, live %d bytes)",
 		off, len(want), len(got))
-}
-
-// VerifyFunc adapts a Snapshot function into the standard verify-only
-// Restore, for layers registered as a function pair.
-func VerifyFunc(live func(*Encoder)) func(*Decoder) error {
-	return func(dec *Decoder) error { return Verify(dec, live) }
 }
 
 func firstDiff(a, b []byte) int {
@@ -250,9 +235,8 @@ func firstDiff(a, b []byte) int {
 }
 
 type section struct {
-	label   string
-	snap    func(*Encoder)
-	restore func(*Decoder) error
+	label string
+	snap  func(*Encoder)
 }
 
 // A Registry is the ordered list of a system's stateful layers. The
@@ -267,19 +251,13 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{labels: make(map[string]bool)} }
 
-// Add registers one layer under a unique label.
-func (r *Registry) Add(label string, s Snapshotter) {
-	r.AddFuncs(label, s.Snapshot, s.Restore)
-}
-
-// AddFuncs registers a layer given as a function pair — for types whose
-// Restore name is taken by an existing API (hardware power-state restore).
-func (r *Registry) AddFuncs(label string, snap func(*Encoder), restore func(*Decoder) error) {
+// Add registers one layer's Snapshot function under a unique label.
+func (r *Registry) Add(label string, snap func(*Encoder)) {
 	if r.labels[label] {
 		panic(fmt.Sprintf("snapshot: duplicate section label %q", label))
 	}
 	r.labels[label] = true
-	r.secs = append(r.secs, section{label: label, snap: snap, restore: restore})
+	r.secs = append(r.secs, section{label: label, snap: snap})
 }
 
 // Labels lists the registered section labels in order.
@@ -359,7 +337,8 @@ func Parse(data []byte) ([]Section, error) {
 
 // Restore checks a checkpoint against the registered layers: framing and
 // CRC first, then the section list (labels and order must match the
-// registry exactly), then each layer's Restore against its payload.
+// registry exactly), then Verify of each layer's live Snapshot against its
+// payload.
 func (r *Registry) Restore(data []byte) error {
 	secs, err := Parse(data)
 	if err != nil {
@@ -373,7 +352,7 @@ func (r *Registry) Restore(data []byte) error {
 		if s.Label != reg.label {
 			return fmt.Errorf("snapshot: section %d is %q, registry expects %q", i, s.Label, reg.label)
 		}
-		if err := reg.restore(NewDecoder(s.Payload)); err != nil {
+		if err := Verify(s.Payload, reg.snap); err != nil {
 			return fmt.Errorf("snapshot: section %q: %w", s.Label, err)
 		}
 	}

@@ -85,12 +85,10 @@ func (f *fakeLayer) Snapshot(e *Encoder) {
 	e.Str(f.text)
 }
 
-func (f *fakeLayer) Restore(d *Decoder) error { return Verify(d, f.Snapshot) }
-
 func buildRegistry(a, b *fakeLayer) *Registry {
 	r := NewRegistry()
-	r.Add("layer/a", a)
-	r.Add("layer/b", b)
+	r.Add("layer/a", a.Snapshot)
+	r.Add("layer/b", b.Snapshot)
 	return r
 }
 
@@ -165,13 +163,13 @@ func TestDiffNamesDivergingSection(t *testing.T) {
 func TestRestoreRejectsSectionMismatch(t *testing.T) {
 	full := buildRegistry(&fakeLayer{}, &fakeLayer{}).Checkpoint()
 	partial := NewRegistry()
-	partial.Add("layer/a", &fakeLayer{})
+	partial.Add("layer/a", (&fakeLayer{}).Snapshot)
 	if err := partial.Restore(full); err == nil {
 		t.Error("section-count mismatch accepted")
 	}
 	renamed := NewRegistry()
-	renamed.Add("layer/a", &fakeLayer{})
-	renamed.Add("layer/c", &fakeLayer{})
+	renamed.Add("layer/a", (&fakeLayer{}).Snapshot)
+	renamed.Add("layer/c", (&fakeLayer{}).Snapshot)
 	if err := renamed.Restore(full); err == nil {
 		t.Error("section-label mismatch accepted")
 	}
@@ -205,8 +203,7 @@ func TestVerifyReportsOffset(t *testing.T) {
 	enc := NewEncoder()
 	enc.U64(100)
 	enc.U64(200)
-	dec := NewDecoder(enc.Data())
-	err := Verify(dec, func(e *Encoder) { e.U64(100); e.U64(201) })
+	err := Verify(enc.Data(), func(e *Encoder) { e.U64(100); e.U64(201) })
 	if err == nil {
 		t.Fatal("Verify of diverged state succeeded")
 	}
