@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestRestoreVerifiesEverySection(t *testing.T) {
 	for _, need := range []string{"sim", "hw/cpu", "hw/gpu", "hw/dsp", "hw/wifi", "hw/display", "hw/gps",
 		"hw/dram", "kernel", "kernel/sched", "kernel/accel/gpu", "kernel/accel/dsp", "kernel/net", "meter",
 		"core", "core/invariants", "faults", "obs", "obs/profile", "account", "sandbox", "daemon/renderd"} {
-		if !contains(labels, need) {
+		if !slices.Contains(labels, need) {
 			t.Fatalf("checkpoint lacks section %q; has %v", need, labels)
 		}
 	}
@@ -135,13 +136,4 @@ func TestRestoreVerifiesEverySection(t *testing.T) {
 	if err := sys.Restore(ckpt); err != nil {
 		t.Fatalf("untouched checkpoint rejected after the corruption pass: %v", err)
 	}
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
