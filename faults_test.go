@@ -132,3 +132,29 @@ func TestFaultScenarioRecovers(t *testing.T) {
 		t.Fatal("vision made no progress through the faults")
 	}
 }
+
+// A sample window's Degraded flag belongs to the window, not to the
+// query: the window at 100 µs ends at 110 µs, inside a dropout starting
+// at 105 µs, so it is degraded whether the query ends at 103 µs (before
+// the dropout) or at 200 µs. The window's shares, too, do not depend on
+// where the query ends.
+func TestBlameDegradedIndependentOfQueryEnd(t *testing.T) {
+	us := func(n int64) psbox.Time { return psbox.Time(n * int64(psbox.Microsecond)) }
+	sys := psbox.NewMobile(1)
+	sys.EnableTracing()
+	sys.Meter.InjectDropout("cpu", us(105), us(300))
+	sys.Run(psbox.Millisecond)
+	short := sys.Blame("cpu", 0, us(103))
+	long := sys.Blame("cpu", 0, us(200))
+	if len(short) != 11 || short[10].T != us(100) || long[10].T != us(100) {
+		t.Fatalf("want the window at 100 µs last in the short query and present in the long one; got %d and %d windows", len(short), len(long))
+	}
+	for i, bl := range short {
+		if fmt.Sprint(bl) != fmt.Sprint(long[i]) {
+			t.Errorf("window at %v: %+v ending at 103 µs, %+v ending at 200 µs", bl.T, bl, long[i])
+		}
+	}
+	if !short[10].Degraded {
+		t.Error("window [100 µs, 110 µs) overlaps the dropout from 105 µs but is not degraded")
+	}
+}

@@ -230,7 +230,7 @@ func TestProgressCallback(t *testing.T) {
 func TestRollupMergesShardMetricsAndProfiles(t *testing.T) {
 	mkRep := func(n int64) *ShardReport {
 		rep := report(0.1, nil)
-		rep.Metrics.Counters[obs.Key{Name: "sched.switches"}] = n
+		rep.Metrics.Counters = []obs.Series[int64]{{Key: obs.Key{Name: "sched.switches"}, V: n}}
 		rep.Profile = []profile.Entry{{App: "vision", Comp: "sched", Rail: "cpu", J: float64(n)}}
 		rep.ProfileWindows = uint64(n)
 		return rep
@@ -241,8 +241,8 @@ func TestRollupMergesShardMetricsAndProfiles(t *testing.T) {
 		{Shard: 2, Report: mkRep(3)},
 	}}
 	ru := res.Rollup()
-	if got := ru.Metrics.Counters[obs.Key{Name: "sched.switches"}]; got != 5 {
-		t.Errorf("merged counter = %d, want 5", got)
+	if got := ru.Metrics.Counters; len(got) != 1 || got[0] != (obs.Series[int64]{Key: obs.Key{Name: "sched.switches"}, V: 5}) {
+		t.Errorf("merged counters = %+v, want sched.switches = 5", got)
 	}
 	if len(ru.Profile) != 1 || ru.Profile[0].J != 5 {
 		t.Errorf("merged profile = %+v, want one 5 J stack", ru.Profile)

@@ -213,37 +213,44 @@ func Summarize(sys *psbox.System, from, to sim.Time) *ShardReport {
 	for _, a := range sys.Kernel.Apps() {
 		names[a.ID] = a.Name
 	}
-	// Attribution runs per component rail — spans are tagged with the rail
-	// they drew on; the battery rail is the sum and carries no spans of its
-	// own. Rails iterate in meter registration order, fixed at
-	// construction, so the float accumulation order is deterministic.
+	// BlameRuns attributes every component rail — spans are tagged with the
+	// rail they drew on; the battery rail is the sum and carries no spans
+	// of its own — in meter registration order, fixed at construction, so
+	// the float accumulation order is deterministic. obs.Replay books each
+	// run of N equal windows N times over, so the sums are bit for bit
+	// those of a walk over every sample. Principals resolve to accumulator
+	// slots once per run.
 	period := sys.Meter.Period().Seconds()
-	joules := make(map[string]float64)
-	for _, rail := range sys.Meter.Rails() {
-		if rail == "battery" {
-			continue
+	var (
+		blamed []string           // principals, in slot order until sorted
+		joules []float64          // slot -> attributed joules
+		slots  = map[string]int{} // principal -> slot
+		adds   []obs.Add          // one window's bookings, in share order
+	)
+	sys.BlameRuns(from, to, func(_ string, b obs.BlameRun) {
+		if b.Degraded {
+			rep.Degraded += b.Run.N
 		}
-		for _, bl := range sys.Blame(rail, from, to) {
-			if bl.Degraded {
-				rep.Degraded++
+		adds = adds[:0]
+		for _, sh := range b.Shares {
+			name, ok := names[sh.Owner]
+			if !ok {
+				name = "unknown"
 			}
-			for _, sh := range bl.Shares {
-				name, ok := names[sh.Owner]
-				if !ok {
-					name = "unknown"
-				}
-				//psbox:allow-energyaccum summing already-integrated attribution windows (share × sampled W × meter period) in fixed rail-then-window order, not raw power×dt
-				joules[name] += sh.Frac * float64(bl.W) * period
+			i, ok := slots[name]
+			if !ok {
+				i = len(blamed)
+				slots[name] = i
+				blamed = append(blamed, name)
+				joules = append(joules, 0)
 			}
+			adds = append(adds, obs.Add{Slot: i, J: sh.Frac * float64(b.Run.W) * period})
 		}
-	}
-	blamed := make([]string, 0, len(joules))
-	for name := range joules {
-		blamed = append(blamed, name)
-	}
+		obs.Replay(joules, adds, b.Run.N)
+	})
 	sort.Strings(blamed)
 	for _, name := range blamed {
-		rep.Blame = append(rep.Blame, AppBlame{App: name, J: joules[name]})
+		rep.Blame = append(rep.Blame, AppBlame{App: name, J: joules[slots[name]]})
 	}
 	return rep
 }

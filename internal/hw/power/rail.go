@@ -9,6 +9,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"psbox/internal/sim"
@@ -143,18 +144,74 @@ func (r *Rail) EnergyBetween(a, b sim.Time) Joules {
 	return e
 }
 
+// Run is a stretch of N consecutive DAQ samples, one period apart from T
+// on, that all read W. A rail is piecewise constant, so a run is the
+// sampled image of one segment and costs one value however long it is.
+type Run struct {
+	T sim.Time
+	N int
+	W Watts
+}
+
+// End reports the end of the run's last sample window, T + N·period.
+func (u Run) End(period sim.Duration) sim.Time {
+	return u.T.Add(sim.Duration(u.N) * period)
+}
+
+// Runs appends the DAQ samples over [a, b) at the given period to dst as
+// runs, one per rail segment that holds a sample tick, without visiting
+// the ticks one by one. Sample i of the expansion is exactly what
+// SamplesBetween returns; a run that continues dst's last one (the next
+// tick, the same watts bit for bit) extends it instead of starting anew.
+func (r *Rail) Runs(a, b sim.Time, period sim.Duration, dst []Run) []Run {
+	r.eachRun(a, b, period, func(u Run) {
+		if n := len(dst); n > 0 && dst[n-1].End(period) == u.T &&
+			math.Float64bits(dst[n-1].W) == math.Float64bits(u.W) {
+			dst[n-1].N += u.N
+			return
+		}
+		dst = append(dst, u)
+	})
+	return dst
+}
+
 // SamplesBetween synthesizes DAQ samples over [a, b) at the given period,
 // appending to dst and returning it. The first sample lands on the first
 // multiple of period ≥ a, mirroring a free-running ADC.
 func (r *Rail) SamplesBetween(a, b sim.Time, period sim.Duration, dst []Sample) []Sample {
+	r.eachRun(a, b, period, func(u Run) {
+		for t, k := u.T, 0; k < u.N; t, k = t.Add(period), k+1 {
+			dst = append(dst, Sample{T: t, W: u.W})
+		}
+	})
+	return dst
+}
+
+// eachRun walks the segments that hold the sample ticks of [a, b) and
+// calls fn with each segment's ticks. Ticks before the first segment read
+// its watts, as PowerAt does; a tick in the future panics.
+func (r *Rail) eachRun(a, b sim.Time, period sim.Duration, fn func(Run)) {
 	if period <= 0 {
 		panic("power: non-positive sample period")
 	}
-	first := (int64(a) + int64(period) - 1) / int64(period) * int64(period)
-	for t := sim.Time(first); t < b; t = t.Add(period) {
-		dst = append(dst, Sample{T: t, W: r.PowerAt(t)})
+	t := sim.Time((int64(a) + int64(period) - 1) / int64(period) * int64(period))
+	if t >= b {
+		return
 	}
-	return dst
+	if last := t.Add((b.Sub(t) - 1) / period * period); last > r.eng.Now() {
+		panic("power: samples in the future")
+	}
+	for i := r.locate(t); t < b; i++ {
+		end := b
+		if i+1 < len(r.segs) && r.segs[i+1].start < b {
+			end = r.segs[i+1].start
+		}
+		if t < end {
+			n := (end.Sub(t) + period - 1) / period
+			fn(Run{T: t, N: int(n), W: r.segs[i].w})
+			t = t.Add(n * period)
+		}
+	}
 }
 
 // Segments returns the number of recorded power transitions; used by tests

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,6 +106,52 @@ func TestRailSamples(t *testing.T) {
 	}
 }
 
+// Runs, expanded, reads every tick exactly as PowerAt does, and so does
+// SamplesBetween. The rails mix segments longer and shorter than a period
+// (some hold no tick, so equal neighbours must join across them), a
+// trimmed history, and queries on and off the tick grid. Touching runs
+// always differ in watts.
+func TestRailRunsMatchPowerAt(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		rnd := sim.NewRand(seed)
+		e := sim.NewEngine()
+		r := NewRail(e, "q", float64(rnd.Intn(3)))
+		period := sim.Duration(1 + rnd.Intn(12))
+		var at sim.Time
+		for n := rnd.Intn(40); n > 0; n-- {
+			at = at.Add(sim.Duration(rnd.Intn(3 * int(period))))
+			w := float64(rnd.Intn(3))
+			e.At(at, func(sim.Time) { r.Set(w) })
+		}
+		e.Run(at.Add(sim.Duration(rnd.Intn(50))))
+		if rnd.Intn(4) == 0 {
+			r.TrimBefore(sim.Time(rnd.Intn(1 + int(e.Now()))))
+		}
+		a := sim.Time(rnd.Intn(1 + int(e.Now())))
+		b := a.Add(sim.Duration(rnd.Intn(2 + int(e.Now().Sub(a)))))
+		var want []Sample
+		for tk := (int64(a) + int64(period) - 1) / int64(period) * int64(period); tk < int64(b); tk += int64(period) {
+			want = append(want, Sample{T: sim.Time(tk), W: r.PowerAt(sim.Time(tk))})
+		}
+		runs := r.Runs(a, b, period, nil)
+		var got []Sample
+		for i, u := range runs {
+			if u.N < 1 || i > 0 && runs[i-1].End(period) == u.T && runs[i-1].W == u.W {
+				t.Fatalf("seed %d: run %d %+v is empty or continues the one before (%+v)", seed, i, u, runs)
+			}
+			for k := 0; k < u.N; k++ {
+				got = append(got, Sample{T: u.T.Add(sim.Duration(k) * period), W: u.W})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: runs %+v expand to %v, PowerAt reads %v", seed, runs, got, want)
+		}
+		if s := r.SamplesBetween(a, b, period, nil); !slices.Equal(s, want) {
+			t.Fatalf("seed %d: SamplesBetween %v, PowerAt reads %v", seed, s, want)
+		}
+	}
+}
+
 func TestRailBreakpoints(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewRail(e, "cpu", 1)
@@ -141,6 +188,7 @@ func TestRailFuturePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { r.PowerAt(11) },
 		func() { _ = r.EnergyBetween(0, 11) },
+		func() { r.Runs(0, 21, 10, nil) }, // the tick at 20 is in the future
 		func() { r.Set(-1) },
 	} {
 		func() {

@@ -1,6 +1,7 @@
 package meter
 
 import (
+	"slices"
 	"testing"
 
 	"psbox/internal/hw/power"
@@ -19,7 +20,7 @@ func TestDropoutHidesSamples(t *testing.T) {
 	e, m := dropFixture(t)
 	m.InjectDropout("cpu", sim.Time(300*sim.Microsecond), sim.Time(500*sim.Microsecond))
 	e.Run(sim.Time(1 * sim.Millisecond))
-	s := m.Samples("cpu", 0, sim.Time(1*sim.Millisecond))
+	s := samples(m, "cpu", 0, sim.Time(1*sim.Millisecond))
 	// 100 samples at 100 kHz over 1 ms, minus the 20 inside [300, 500) µs.
 	if len(s) != 80 {
 		t.Fatalf("samples = %d, want 80", len(s))
@@ -93,4 +94,47 @@ func TestDropoutRejectsPastAndEmptyWindows(t *testing.T) {
 	mustPanic("unknown rail", func() {
 		m.InjectDropout("nope", sim.Time(2*sim.Millisecond), sim.Time(3*sim.Millisecond))
 	})
+}
+
+// Runs leaves out exactly the ticks inside dropout windows: expanded, it
+// equals the rail's samples minus those in a window, over rails that
+// change on and off the tick grid, dropouts that hold no tick, and
+// queries that start or end inside a dropout. A dropout with no tick in
+// it does not split a run.
+func TestRunsDropExactlyTheDropoutTicks(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rnd := sim.NewRand(seed)
+		e := sim.NewEngine()
+		m := New(e, sim.Duration(1+rnd.Intn(12)))
+		r := power.NewRail(e, "cpu", 1)
+		m.AddRail(r)
+		horizon := sim.Time(200 + rnd.Intn(400))
+		for n := rnd.Intn(30); n > 0; n-- {
+			w := float64(rnd.Intn(3))
+			e.At(sim.Time(rnd.Intn(int(horizon))), func(sim.Time) { r.Set(w) })
+		}
+		for n := rnd.Intn(5); n > 0; n-- {
+			from := sim.Time(rnd.Intn(int(horizon)))
+			m.InjectDropout("cpu", from, from.Add(sim.Duration(1+rnd.Intn(60))))
+		}
+		e.Run(horizon)
+		from := sim.Time(rnd.Intn(int(horizon)))
+		to := from.Add(sim.Duration(rnd.Intn(1 + int(horizon.Sub(from)))))
+
+		var want []power.Sample
+		for _, s := range r.SamplesBetween(from, to, m.Period(), nil) {
+			if !slices.ContainsFunc(m.Dropouts("cpu", 0, horizon), func(w Window) bool { return w.From <= s.T && s.T < w.To }) {
+				want = append(want, s)
+			}
+		}
+		runs := m.Runs("cpu", from, to, nil)
+		for i := 1; i < len(runs); i++ {
+			if runs[i-1].End(m.Period()) == runs[i].T && runs[i-1].W == runs[i].W {
+				t.Fatalf("seed %d: runs %+v and %+v touch with equal watts", seed, runs[i-1], runs[i])
+			}
+		}
+		if got := samples(m, "cpu", from, to); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: runs %+v expand to %v, want %v", seed, runs, got, want)
+		}
+	}
 }

@@ -79,22 +79,25 @@ func (m *Meter) HasRail(name string) bool {
 // Rails lists attached scopes in stable order.
 func (m *Meter) Rails() []string { return m.names }
 
-// Samples returns the DAQ samples of one rail over [from, to). Samples
-// inside injected dropout windows are missing, exactly as a DAQ overrun
-// loses them.
-func (m *Meter) Samples(rail string, from, to sim.Time) []power.Sample {
-	all := m.Rail(rail).SamplesBetween(from, to, m.period, nil)
-	drops := m.drops[rail]
-	if len(drops) == 0 {
-		return all
-	}
-	kept := all[:0]
-	for _, s := range all {
-		if !m.dropped(rail, s.T) {
-			kept = append(kept, s)
+// Runs appends the DAQ samples of one rail over [from, to) to dst as
+// runs of equal readings (power.Rail.Runs). Samples inside injected
+// dropout windows are missing, exactly as a DAQ overrun loses them: a
+// dropout ends the run before it, and the samples after it start anew.
+func (m *Meter) Runs(rail string, from, to sim.Time, dst []power.Run) []power.Run {
+	r := m.Rail(rail)
+	for _, w := range m.drops[rail] {
+		if w.From >= to {
+			break
 		}
+		if w.From > from {
+			dst = r.Runs(from, w.From, m.period, dst)
+		}
+		from = max(from, w.To)
 	}
-	return kept
+	if from < to {
+		dst = r.Runs(from, to, m.period, dst)
+	}
+	return dst
 }
 
 // Energy integrates one rail exactly over [from, to).
@@ -150,11 +153,4 @@ func (m *Meter) Dropouts(rail string, from, to sim.Time) []Window {
 		out = append(out, w)
 	}
 	return out
-}
-
-// dropped reports whether instant t falls inside a dropout window of rail.
-func (m *Meter) dropped(rail string, t sim.Time) bool {
-	ws := m.drops[rail]
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].To > t })
-	return i < len(ws) && ws[i].From <= t
 }

@@ -7,6 +7,17 @@ import (
 	"psbox/internal/sim"
 )
 
+// samples expands a rail's sample runs over [from, to) into single samples.
+func samples(m *Meter, rail string, from, to sim.Time) []power.Sample {
+	var out []power.Sample
+	for _, u := range m.Runs(rail, from, to, nil) {
+		for k := 0; k < u.N; k++ {
+			out = append(out, power.Sample{T: u.T.Add(sim.Duration(k) * m.Period()), W: u.W})
+		}
+	}
+	return out
+}
+
 func TestMeterBasics(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 0)
@@ -22,7 +33,7 @@ func TestMeterBasics(t *testing.T) {
 		t.Fatalf("rails = %v", m.Rails())
 	}
 	e.Run(sim.Time(1 * sim.Millisecond))
-	s := m.Samples("cpu", 0, sim.Time(1*sim.Millisecond))
+	s := samples(m, "cpu", 0, sim.Time(1*sim.Millisecond))
 	if len(s) != 100 {
 		t.Fatalf("samples = %d, want 100 at 100kHz over 1ms", len(s))
 	}
@@ -37,7 +48,7 @@ func TestMeterTimestampsMonotone(t *testing.T) {
 	r := power.NewRail(e, "gpu", 0.3)
 	m.AddRail(r)
 	e.Run(sim.Time(10 * sim.Millisecond))
-	s := m.Samples("gpu", sim.Time(1*sim.Millisecond), sim.Time(9*sim.Millisecond))
+	s := samples(m, "gpu", sim.Time(1*sim.Millisecond), sim.Time(9*sim.Millisecond))
 	for i := 1; i < len(s); i++ {
 		if s[i].T != s[i-1].T.Add(25*sim.Microsecond) {
 			t.Fatalf("samples not evenly spaced at %d", i)

@@ -49,10 +49,12 @@ type Occupant struct {
 	D     sim.Duration
 }
 
-// Window is one sample window [Sample.T, Sample.T+period) as Join emits
-// it. All durations are integers, so they equal clip-and-sum exactly.
+// Window is one run of identical sample windows as Join emits it: the
+// Run.N windows [Run.T+k·period, Run.T+(k+1)·period) all read Run.W and
+// each holds these occupants, total, coverage and dropout flag. All
+// durations are integers, so they equal clip-and-sum exactly.
 type Window struct {
-	Sample    power.Sample
+	Run       power.Run
 	Occupants []Occupant   // D > 0 only, ascending (Owner, Comp)
 	Total     sim.Duration // sum of the occupants' D
 	Covered   sim.Duration // union of the intervals clipped to the window
@@ -60,17 +62,22 @@ type Window struct {
 }
 
 // Join is the attribution joiner behind both blame and the energy
-// profile. It emits each sample window once, in sample order, with the
-// (owner, component) occupants active in it. One sweep over the
-// intervals' time-sorted edges serves every window, so a rail costs
-// O(S log S) for S intervals plus the windows times their occupants.
+// profile. It takes a rail's samples as runs of equal readings
+// (power.Rail.Runs, meter.Meter.Runs) and emits each sample window once,
+// in sample order, with the (owner, component) occupants active in it.
+// Windows come grouped into runs: a run breaks at every interval edge,
+// gap edge and sample-run edge, and a window with an interval or gap
+// edge strictly inside it is a run of its own. Between two edges nothing
+// changes, so every window of a run is equal, and a rail costs
+// O(S log S) for S intervals plus its runs times their occupants,
+// whatever its number of samples.
 //
-// Samples must come in ascending time order with non-overlapping windows,
-// as Meter.Samples delivers them; holes between windows are fine. Join
-// panics otherwise. An interval with End <= Start contributes nothing.
-// Window.Occupants is reused across calls, so emit must copy what it
-// keeps.
-func Join(samples []power.Sample, period sim.Duration, intervals []Interval, gaps []Gap, emit func(Window)) {
+// Runs must come in ascending time order with non-overlapping windows,
+// as Meter.Runs delivers them; holes between runs are fine, and each run
+// holds at least one sample. Join panics otherwise. An interval with
+// End <= Start contributes nothing. Window.Occupants is reused across
+// calls, so emit must copy what it keeps.
+func Join(runs []power.Run, period sim.Duration, intervals []Interval, gaps []Gap, emit func(Window)) {
 	if period <= 0 {
 		panic("obs: attribution needs a positive sample period")
 	}
@@ -111,6 +118,11 @@ func Join(samples []power.Sample, period sim.Duration, intervals []Interval, gap
 		}
 	}
 	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.t, b.t) })
+	gapEdges := make([]sim.Time, 0, 2*len(gaps))
+	for _, g := range gaps {
+		gapEdges = append(gapEdges, g.From, g.To)
+	}
+	slices.Sort(gapEdges)
 
 	type occupancy struct {
 		open   int          // intervals of this occupant open now
@@ -130,75 +142,102 @@ func Join(samples []power.Sample, period sim.Duration, intervals []Interval, gap
 	var live int // open intervals of every occupant
 	var liveSince sim.Time
 	var w Window
-	next := 0
-	for i, s := range samples {
-		lo, hi := s.T, s.T.Add(period)
-		if i > 0 && lo < samples[i-1].T.Add(period) {
-			panic(fmt.Sprintf("obs: Join needs samples in ascending time order with non-overlapping windows; "+
-				"the window at %dns starts before the previous one ends at %dns",
-				int64(lo), int64(samples[i-1].T.Add(period))))
+	next, nextGap := 0, 0
+	for i, u := range runs {
+		if u.N < 1 {
+			panic(fmt.Sprintf("obs: Join needs runs of at least one sample; the run at %dns holds %d", int64(u.T), u.N))
 		}
-		// Edges up to the window's start only open and close intervals.
-		for ; next < len(edges) && edges[next].t <= lo; next++ {
-			e := edges[next]
-			occ[e.occ].open += e.delta
-			live += e.delta
-			touch(e.occ)
+		if i > 0 && u.T < runs[i-1].End(period) {
+			panic(fmt.Sprintf("obs: Join needs runs in ascending time order with non-overlapping windows; "+
+				"the run at %dns starts before the previous one ends at %dns",
+				int64(u.T), int64(runs[i-1].End(period))))
 		}
-		kept := touched[:0]
-		for _, k := range touched {
-			o := &occ[k]
-			o.since, o.d = lo, 0
-			if o.listed = o.open > 0; o.listed {
-				kept = append(kept, k)
+		for lo := u.T; lo < u.End(period); lo = w.Run.End(period) {
+			hi := lo.Add(period)
+			// Edges up to the window's start only open and close intervals.
+			for ; next < len(edges) && edges[next].t <= lo; next++ {
+				e := edges[next]
+				occ[e.occ].open += e.delta
+				live += e.delta
+				touch(e.occ)
 			}
-		}
-		touched = kept
-		liveSince, w.Covered = lo, 0
+			kept := touched[:0]
+			for _, k := range touched {
+				o := &occ[k]
+				o.since, o.d = lo, 0
+				if o.listed = o.open > 0; o.listed {
+					kept = append(kept, k)
+				}
+			}
+			touched = kept
+			liveSince, w.Covered = lo, 0
 
-		// Edges inside the window close the stretch since the last one.
-		for ; next < len(edges) && edges[next].t < hi; next++ {
-			e := edges[next]
-			o := &occ[e.occ]
-			o.d += sim.Duration(o.open) * e.t.Sub(o.since)
-			o.open += e.delta
-			o.since = e.t
-			touch(e.occ)
+			// Nothing changes before the next interval or gap edge, so
+			// every whole window up to it equals this one. When that edge
+			// falls inside this window, the window is a run of one.
+			for ; nextGap < len(gapEdges) && gapEdges[nextGap] <= lo; nextGap++ {
+			}
+			until := u.End(period)
+			if next < len(edges) {
+				until = min(until, edges[next].t)
+			}
+			if nextGap < len(gapEdges) {
+				until = min(until, gapEdges[nextGap])
+			}
+			w.Run = power.Run{T: lo, N: max(int(until.Sub(lo)/period), 1), W: u.W}
+
+			// Edges inside the window close the stretch since the last one.
+			for ; next < len(edges) && edges[next].t < hi; next++ {
+				e := edges[next]
+				o := &occ[e.occ]
+				o.d += sim.Duration(o.open) * e.t.Sub(o.since)
+				o.open += e.delta
+				o.since = e.t
+				touch(e.occ)
+				if live > 0 {
+					w.Covered += e.t.Sub(liveSince)
+				}
+				live += e.delta
+				liveSince = e.t
+			}
 			if live > 0 {
-				w.Covered += e.t.Sub(liveSince)
+				w.Covered += hi.Sub(liveSince)
 			}
-			live += e.delta
-			liveSince = e.t
-		}
-		if live > 0 {
-			w.Covered += hi.Sub(liveSince)
-		}
-		w.Sample, w.Occupants, w.Total = s, w.Occupants[:0], 0
-		for _, k := range touched {
-			o := &occ[k]
-			o.d += sim.Duration(o.open) * hi.Sub(o.since)
-			if o.d > 0 {
-				w.Occupants = append(w.Occupants, Occupant{Owner: keys[k].owner, Comp: keys[k].comp, D: o.d})
-				w.Total += o.d
+			w.Occupants, w.Total = w.Occupants[:0], 0
+			for _, k := range touched {
+				o := &occ[k]
+				o.d += sim.Duration(o.open) * hi.Sub(o.since)
+				if o.d > 0 {
+					w.Occupants = append(w.Occupants, Occupant{Owner: keys[k].owner, Comp: keys[k].comp, D: o.d})
+					w.Total += o.d
+				}
 			}
+			w.Degraded = overlapsGap(lo, hi, gaps)
+			emit(w)
 		}
-		w.Degraded = overlapsGap(lo, hi, gaps)
-		emit(w)
 	}
 }
 
-// Attribute joins meter samples with activity intervals: each sample's
-// window [T, T+period) is split among the owners active in it. An owner's
-// share is its fraction of total occupancy, summed over its components
-// and scaled by how much of the window was covered at all; the uncovered
-// remainder — idle floor power — goes to owner 0. Shares therefore sum to
-// exactly 1.0 per sample, which the edge-case tests assert across context
-// switches, DVFS overlap, and dropout gaps. Samples follow Join's order
-// contract.
-func Attribute(samples []power.Sample, period sim.Duration, intervals []Interval, gaps []Gap) []Blame {
-	out := make([]Blame, 0, len(samples))
-	Join(samples, period, intervals, gaps, func(w Window) {
-		bl := Blame{T: w.Sample.T, W: w.Sample.W, Degraded: w.Degraded, Shares: make([]Share, 1, 1+len(w.Occupants))}
+// BlameRun is one run of identical blame windows: the Run.N samples from
+// Run.T on each split their watts among these shares.
+type BlameRun struct {
+	Run      power.Run
+	Shares   []Share // sorted by Owner, summing to 1.0; reused across calls
+	Degraded bool    // the windows overlap a meter dropout
+}
+
+// AttributeRuns joins sample runs with activity intervals (Join) and
+// splits each window among the owners active in it. An owner's share is
+// its fraction of total occupancy, summed over its components and scaled
+// by how much of the window was covered at all; the uncovered remainder —
+// idle floor power — goes to owner 0. Shares therefore sum to exactly 1.0
+// per window, which the edge-case tests assert across context switches,
+// DVFS overlap, and dropout gaps. Runs follow Join's order contract, and
+// emit must copy the Shares it keeps.
+func AttributeRuns(runs []power.Run, period sim.Duration, intervals []Interval, gaps []Gap, emit func(BlameRun)) {
+	var b BlameRun
+	Join(runs, period, intervals, gaps, func(w Window) {
+		b.Run, b.Degraded, b.Shares = w.Run, w.Degraded, append(b.Shares[:0], Share{})
 		idle := float64(period-w.Covered) / float64(period)
 		activeFrac := float64(w.Covered) / float64(period)
 		for i := 0; i < len(w.Occupants); {
@@ -211,12 +250,84 @@ func Attribute(samples []power.Sample, period sim.Duration, intervals []Interval
 				idle += frac
 				continue
 			}
-			bl.Shares = append(bl.Shares, Share{Owner: owner, Frac: frac})
+			b.Shares = append(b.Shares, Share{Owner: owner, Frac: frac})
 		}
-		bl.Shares[0].Frac = idle
-		out = append(out, bl)
+		b.Shares[0].Frac = idle
+		emit(b)
+	})
+}
+
+// Attribute is AttributeRuns expanded into the per-sample timeline: one
+// Blame per sample, each with its own Shares.
+func Attribute(runs []power.Run, period sim.Duration, intervals []Interval, gaps []Gap) []Blame {
+	n := 0
+	for _, u := range runs {
+		n += u.N
+	}
+	out := make([]Blame, 0, n)
+	AttributeRuns(runs, period, intervals, gaps, func(b BlameRun) {
+		for k, t := 0, b.Run.T; k < b.Run.N; k, t = k+1, t.Add(period) {
+			out = append(out, Blame{T: t, W: b.Run.W, Degraded: b.Degraded, Shares: slices.Clone(b.Shares)})
+		}
 	})
 	return out
+}
+
+// Add is one addition a window makes to a consumer's accumulator slot:
+// a blame share's or a profile stack's joules.
+type Add struct {
+	Slot int
+	J    float64
+}
+
+// Replay books one window's adds into acc n times over, as n equal
+// windows booked one after another would: every add in order, window
+// after window. It never multiplies by n, which would round differently,
+// so acc ends bit for bit where a walk over every sample leaves it. Adds
+// to distinct slots never meet, so when no slot repeats, Replay runs four
+// slots at a time in registers; each slot still takes its n adds in
+// order. A repeated slot (two owners sharing a name) keeps the window
+// order as it is.
+func Replay(acc []float64, adds []Add, n int) {
+	if n == 1 || !distinctSlots(adds) {
+		for ; n > 0; n-- {
+			for _, a := range adds {
+				acc[a.Slot] += a.J
+			}
+		}
+		return
+	}
+	for len(adds) > 0 {
+		k := min(len(adds), 4)
+		var x, v [4]float64 // slots past k add zero to a scratch sum
+		for i, a := range adds[:k] {
+			x[i], v[i] = acc[a.Slot], a.J
+		}
+		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+		v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
+		for i := 0; i < n; i++ {
+			x0 += v0
+			x1 += v1
+			x2 += v2
+			x3 += v3
+		}
+		x = [4]float64{x0, x1, x2, x3}
+		for i, a := range adds[:k] {
+			acc[a.Slot] = x[i]
+		}
+		adds = adds[k:]
+	}
+}
+
+func distinctSlots(adds []Add) bool {
+	for i := range adds {
+		for j := i + 1; j < len(adds); j++ {
+			if adds[i].Slot == adds[j].Slot {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func overlapsGap(lo, hi sim.Time, gaps []Gap) bool {
@@ -234,11 +345,10 @@ func overlapsGap(lo, hi sim.Time, gaps []Gap) bool {
 // deterministic.
 func IntervalsFromEvents(events []Event, rail string) []Interval {
 	var out []Interval
-	for _, ev := range events {
-		if ev.Type != TypeSpan || ev.Rail != rail {
-			continue
+	for i := range events {
+		if ev := &events[i]; ev.Type == TypeSpan && ev.Rail == rail {
+			out = append(out, Interval{Start: ev.T, End: ev.End, Owner: ev.Owner, Comp: ev.Cat})
 		}
-		out = append(out, Interval{Start: ev.T, End: ev.End, Owner: ev.Owner, Comp: ev.Cat})
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -59,7 +61,7 @@ func TestAttributeWindowStraddlesContextSwitch(t *testing.T) {
 		{Start: lo.Add(-50 * sim.Microsecond), End: sw, Owner: 1},
 		{Start: sw, End: lo.Add(300 * sim.Microsecond), Owner: 2},
 	}
-	blames := Attribute(samples, period, intervals, nil)
+	blames := Attribute(runsOf(samples, period), period, intervals, nil)
 	if len(blames) != 1 {
 		t.Fatalf("got %d blames, want 1", len(blames))
 	}
@@ -93,7 +95,7 @@ func TestAttributeAccelCommandOverlapsDVFSTransition(t *testing.T) {
 		// The DVFS transition work (kernel) covers the middle 2 µs.
 		{Start: lo.Add(4 * sim.Microsecond), End: lo.Add(6 * sim.Microsecond), Owner: 0},
 	}
-	blames := Attribute(samples, period, intervals, nil)
+	blames := Attribute(runsOf(samples, period), period, intervals, nil)
 	checkUnity(t, blames)
 	bl := blames[0]
 	// Occupancy: owner3 = 10µs, owner0 = 2µs, total 12µs, covered 10µs.
@@ -116,7 +118,7 @@ func TestAttributeDropoutGapMarksDegraded(t *testing.T) {
 	var samples []power.Sample
 	for i := 0; i < 10; i++ {
 		tt := base.Add(sim.Duration(i) * period)
-		// Samples 4..6 lost to the dropout, as Meter.Samples would filter.
+		// Samples 4..6 lost to the dropout, as Meter.Runs would leave them out.
 		if i >= 4 && i <= 6 {
 			continue
 		}
@@ -124,7 +126,7 @@ func TestAttributeDropoutGapMarksDegraded(t *testing.T) {
 	}
 	gap := Gap{From: base.Add(4 * period), To: base.Add(7 * period)}
 	intervals := []Interval{{Start: base, End: base.Add(10 * period), Owner: 1}}
-	blames := Attribute(samples, period, intervals, []Gap{gap})
+	blames := Attribute(runsOf(samples, period), period, intervals, []Gap{gap})
 	if len(blames) != 7 {
 		t.Fatalf("got %d blames, want 7", len(blames))
 	}
@@ -145,7 +147,7 @@ func TestAttributeDropoutGapMarksDegraded(t *testing.T) {
 	// A straddling gap — not aligned to sample windows — marks the edge
 	// samples degraded while their shares still sum to 1.0.
 	gap2 := Gap{From: base.Add(4*period + 5*sim.Microsecond), To: base.Add(5 * period)}
-	blames = Attribute(samples, period, intervals, []Gap{gap2})
+	blames = Attribute(runsOf(samples, period), period, intervals, []Gap{gap2})
 	checkUnity(t, blames)
 	degraded := 0
 	for _, bl := range blames {
@@ -169,7 +171,7 @@ func TestAttributeDropoutGapMarksDegraded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		full = append(full, power.Sample{T: base.Add(sim.Duration(i) * period), W: 1.0})
 	}
-	blames = Attribute(full, period, intervals, []Gap{gap2})
+	blames = Attribute(runsOf(full, period), period, intervals, []Gap{gap2})
 	checkUnity(t, blames)
 	degraded = 0
 	for _, bl := range blames {
@@ -185,7 +187,7 @@ func TestAttributeDropoutGapMarksDegraded(t *testing.T) {
 // Idle-only windows blame everything on owner 0.
 func TestAttributeIdleWindow(t *testing.T) {
 	samples := []power.Sample{{T: 0, W: 0.4}}
-	blames := Attribute(samples, period, nil, nil)
+	blames := Attribute(runsOf(samples, period), period, nil, nil)
 	checkUnity(t, blames)
 	if got := share(blames[0], 0); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("idle share = %f, want 1.0", got)
@@ -225,7 +227,7 @@ func TestAttributeZeroDurationIntervals(t *testing.T) {
 		{Start: lo.Add(-5 * sim.Microsecond), End: lo, Owner: 2},                         // clips to zero at the window edge
 		{Start: lo, End: lo.Add(period), Owner: 3},                                       // real occupant
 	}
-	blames := Attribute(samples, period, intervals, nil)
+	blames := Attribute(runsOf(samples, period), period, intervals, nil)
 	checkUnity(t, blames)
 	bl := blames[0]
 	if got := share(bl, 1); got != 0 {
@@ -240,7 +242,7 @@ func TestAttributeZeroDurationIntervals(t *testing.T) {
 
 	// Only zero-duration intervals: the whole window is idle, and the
 	// fraction arithmetic must not divide by the zero total occupancy.
-	blames = Attribute(samples, period, intervals[:2], nil)
+	blames = Attribute(runsOf(samples, period), period, intervals[:2], nil)
 	checkUnity(t, blames)
 	if got := share(blames[0], 0); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("idle share = %f, want 1.0 with only zero-width intervals", got)
@@ -267,7 +269,7 @@ func TestAttributeSampleOnGapBoundary(t *testing.T) {
 		{"gap overlaps the first nanosecond", Gap{From: lo.Add(-period), To: lo.Add(1)}, true},
 		{"gap swallows the window", Gap{From: lo.Add(-period), To: hi.Add(period)}, true},
 	} {
-		blames := Attribute(samples, period, intervals, []Gap{tc.gap})
+		blames := Attribute(runsOf(samples, period), period, intervals, []Gap{tc.gap})
 		checkUnity(t, blames)
 		if blames[0].Degraded != tc.degraded {
 			t.Errorf("%s: degraded = %v, want %v", tc.name, blames[0].Degraded, tc.degraded)
@@ -291,7 +293,7 @@ func TestAttributeEmptyIntervalsRail(t *testing.T) {
 	if ivs != nil {
 		t.Fatalf("expected no gps intervals, got %+v", ivs)
 	}
-	blames := Attribute(samples, period, ivs, []Gap{gap})
+	blames := Attribute(runsOf(samples, period), period, ivs, []Gap{gap})
 	if len(blames) != 5 {
 		t.Fatalf("got %d blames, want 5", len(blames))
 	}
@@ -323,41 +325,176 @@ func TestWriteBlameStableText(t *testing.T) {
 	}
 }
 
-// TestJoinRejectsOverlappingSamples pins Join's order contract: samples
-// that run backwards or whose windows overlap are a caller bug and panic
-// with a message naming the contract; windows separated by holes, as a
-// meter dropout leaves them, and windows that merely touch are accepted.
+// TestJoinRejectsOverlappingSamples pins Join's order contract: runs that
+// go backwards, whose windows overlap, or that hold no sample are a caller
+// bug and panic with a message naming the contract; runs separated by
+// holes, as a meter dropout leaves them, and runs that merely touch are
+// accepted.
 func TestJoinRejectsOverlappingSamples(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		samples []power.Sample
+		name string
+		runs []power.Run
+		want string
 	}{
-		{"descending", []power.Sample{{T: sim.Time(5 * period)}, {T: sim.Time(2 * period)}}},
-		{"overlapping by one nanosecond", []power.Sample{{T: 0}, {T: sim.Time(period - 1)}}},
-		{"repeated", []power.Sample{{T: sim.Time(period)}, {T: sim.Time(period)}}},
+		{"descending", []power.Run{{T: sim.Time(5 * period), N: 1}, {T: sim.Time(2 * period), N: 1}}, "ascending time order with non-overlapping windows"},
+		{"overlapping by one nanosecond", []power.Run{{T: 0, N: 1}, {T: sim.Time(period - 1), N: 1}}, "ascending time order with non-overlapping windows"},
+		{"repeated", []power.Run{{T: sim.Time(period), N: 1}, {T: sim.Time(period), N: 1}}, "ascending time order with non-overlapping windows"},
+		{"inside a longer run", []power.Run{{T: 0, N: 5}, {T: sim.Time(3 * period), N: 1}}, "ascending time order with non-overlapping windows"},
+		{"empty", []power.Run{{T: 0, N: 0}}, "runs of at least one sample"},
 	} {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.Contains(msg, "ascending time order with non-overlapping windows") {
+				if !strings.Contains(msg, tc.want) {
 					t.Errorf("%s: recovered %q, want the order-contract panic", tc.name, msg)
 				}
 			}()
-			Join(tc.samples, period, nil, nil, func(Window) {})
+			Join(tc.runs, period, nil, nil, func(Window) {})
 		}()
 	}
 
-	holes := []power.Sample{{T: 0}, {T: sim.Time(period)}, {T: sim.Time(4 * period)}, {T: sim.Time(7*period + 3)}}
-	var emitted []sim.Time
+	holes := []power.Run{{T: 0, N: 2}, {T: sim.Time(4 * period), N: 1}, {T: sim.Time(7*period + 3), N: 1}}
+	var emitted []power.Run
 	Join(holes, period, []Interval{{Start: 0, End: sim.Time(9 * period), Owner: 1}}, nil, func(w Window) {
-		emitted = append(emitted, w.Sample.T)
+		emitted = append(emitted, w.Run)
 		if w.Covered != period || w.Total != period || len(w.Occupants) != 1 {
-			t.Errorf("window at %d: covered %v total %v occupants %+v, want one full occupant",
-				int64(w.Sample.T), w.Covered, w.Total, w.Occupants)
+			t.Errorf("run at %d: covered %v total %v occupants %+v, want one full occupant",
+				int64(w.Run.T), w.Covered, w.Total, w.Occupants)
 		}
 	})
-	if len(emitted) != len(holes) {
-		t.Fatalf("emitted %d windows, want %d", len(emitted), len(holes))
+	if !slices.Equal(emitted, holes) {
+		t.Fatalf("emitted runs %v, want the input runs %v", emitted, holes)
+	}
+}
+
+// runsOf coalesces samples into runs: adjacent samples one period apart
+// with bit-identical watts share a run, as Rail.Runs builds them.
+func runsOf(samples []power.Sample, period sim.Duration) []power.Run {
+	var runs []power.Run
+	for _, s := range samples {
+		if n := len(runs); n > 0 && runs[n-1].End(period) == s.T &&
+			math.Float64bits(runs[n-1].W) == math.Float64bits(s.W) {
+			runs[n-1].N++
+			continue
+		}
+		runs = append(runs, power.Run{T: s.T, N: 1, W: s.W})
+	}
+	return runs
+}
+
+// sampleWindow is one window as the per-sample joiner emits it.
+type sampleWindow struct {
+	Sample    power.Sample
+	Occupants []Occupant
+	Total     sim.Duration
+	Covered   sim.Duration
+	Degraded  bool
+}
+
+// joinPerSample is the sweep joiner as it was before it learned runs: the
+// same edge sweep, but one emitted window per sample. The differential
+// tests hold the run joiner, expanded, to it bit for bit.
+func joinPerSample(samples []power.Sample, period sim.Duration, intervals []Interval, gaps []Gap, emit func(sampleWindow)) {
+	type key struct {
+		owner int
+		comp  string
+	}
+	type edge struct {
+		t     sim.Time
+		occ   int
+		delta int
+	}
+	var keys []key
+	index := make(map[key]int)
+	for _, iv := range intervals {
+		k := key{iv.Owner, iv.Comp}
+		if _, ok := index[k]; !ok && iv.End > iv.Start {
+			index[k] = 0
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.owner, b.owner); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.comp, b.comp)
+	})
+	for i, k := range keys {
+		index[k] = i
+	}
+	edges := make([]edge, 0, 2*len(intervals))
+	for _, iv := range intervals {
+		if iv.End > iv.Start {
+			k := index[key{iv.Owner, iv.Comp}]
+			edges = append(edges, edge{iv.Start, k, 1}, edge{iv.End, k, -1})
+		}
+	}
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.t, b.t) })
+
+	type occupancy struct {
+		open   int
+		since  sim.Time
+		d      sim.Duration
+		listed bool
+	}
+	occ := make([]occupancy, len(keys))
+	var touched []int
+	touch := func(k int) {
+		if !occ[k].listed {
+			occ[k].listed = true
+			i, _ := slices.BinarySearch(touched, k)
+			touched = slices.Insert(touched, i, k)
+		}
+	}
+	var live int
+	var liveSince sim.Time
+	var w sampleWindow
+	next := 0
+	for _, s := range samples {
+		lo, hi := s.T, s.T.Add(period)
+		for ; next < len(edges) && edges[next].t <= lo; next++ {
+			e := edges[next]
+			occ[e.occ].open += e.delta
+			live += e.delta
+			touch(e.occ)
+		}
+		kept := touched[:0]
+		for _, k := range touched {
+			o := &occ[k]
+			o.since, o.d = lo, 0
+			if o.listed = o.open > 0; o.listed {
+				kept = append(kept, k)
+			}
+		}
+		touched = kept
+		liveSince, w.Covered = lo, 0
+		for ; next < len(edges) && edges[next].t < hi; next++ {
+			e := edges[next]
+			o := &occ[e.occ]
+			o.d += sim.Duration(o.open) * e.t.Sub(o.since)
+			o.open += e.delta
+			o.since = e.t
+			touch(e.occ)
+			if live > 0 {
+				w.Covered += e.t.Sub(liveSince)
+			}
+			live += e.delta
+			liveSince = e.t
+		}
+		if live > 0 {
+			w.Covered += hi.Sub(liveSince)
+		}
+		w.Sample, w.Occupants, w.Total = s, w.Occupants[:0], 0
+		for _, k := range touched {
+			o := &occ[k]
+			o.d += sim.Duration(o.open) * hi.Sub(o.since)
+			if o.d > 0 {
+				w.Occupants = append(w.Occupants, Occupant{Owner: keys[k].owner, Comp: keys[k].comp, D: o.d})
+				w.Total += o.d
+			}
+		}
+		w.Degraded = overlapsGap(lo, hi, gaps)
+		emit(w)
 	}
 }
 
@@ -433,6 +570,7 @@ type draw interface{ Intn(n int) int }
 type joinScenario struct {
 	period    sim.Duration
 	samples   []power.Sample
+	runs      []power.Run // samples coalesced
 	intervals []Interval
 	gaps      []Gap
 }
@@ -445,15 +583,21 @@ var (
 func genJoinScenario(d draw) joinScenario {
 	sc := joinScenario{period: []sim.Duration{10 * sim.Microsecond, 7 * sim.Microsecond, 1}[d.Intn(3)]}
 	// Samples start on or off the interval grid and skip windows now and
-	// then, as dropouts leave them.
+	// then, as dropouts leave them. Most repeat the watts before them, so
+	// they coalesce into runs of several samples.
 	t := sim.Time(d.Intn(2) * d.Intn(1000))
 	for n := d.Intn(120); n > 0; n-- {
 		if d.Intn(6) == 0 {
 			t = t.Add(sim.Duration(d.Intn(4))*sc.period + sim.Duration(d.Intn(2)*d.Intn(1000)))
 		}
-		sc.samples = append(sc.samples, power.Sample{T: t, W: power.Watts(d.Intn(4000)) / 3})
+		w := power.Watts(d.Intn(4000)) / 3
+		if k := len(sc.samples); k > 0 && d.Intn(4) != 0 {
+			w = sc.samples[k-1].W
+		}
+		sc.samples = append(sc.samples, power.Sample{T: t, W: w})
 		t = t.Add(sc.period)
 	}
+	sc.runs = runsOf(sc.samples, sc.period)
 	// Interval edges sit on a grid of q, so they often coincide with each
 	// other and with window boundaries.
 	q := sim.Duration(1+d.Intn(5)) * sim.Microsecond
@@ -489,7 +633,7 @@ func genJoinScenario(d draw) joinScenario {
 // bit: every Blame's time, watts, degraded flag and shares.
 func checkJoinMatchesOracle(t *testing.T, sc joinScenario) {
 	t.Helper()
-	got := Attribute(sc.samples, sc.period, sc.intervals, sc.gaps)
+	got := Attribute(sc.runs, sc.period, sc.intervals, sc.gaps)
 	want := referenceAttribute(sc.samples, sc.period, sc.intervals, sc.gaps)
 	if len(got) != len(want) {
 		t.Fatalf("got %d blames, oracle %d", len(got), len(want))
@@ -537,4 +681,126 @@ func FuzzJoinMatchesOracle(f *testing.F) {
 		d := byteDraw(data)
 		checkJoinMatchesOracle(t, genJoinScenario(&d))
 	})
+}
+
+// checkRunJoinMatchesPerSample holds Join to the per-sample joiner: the
+// emitted runs, expanded, must equal joinPerSample's windows bit for bit,
+// and the runs must break exactly where the contract says. A run stays
+// inside one input run, a window with an interval or gap edge strictly
+// inside it is a run of its own, no run spans an edge, and two runs
+// touching inside one input run are split by an edge.
+func checkRunJoinMatchesPerSample(t *testing.T, sc joinScenario) {
+	t.Helper()
+	var want []sampleWindow
+	joinPerSample(sc.samples, sc.period, sc.intervals, sc.gaps, func(w sampleWindow) {
+		w.Occupants = slices.Clone(w.Occupants)
+		want = append(want, w)
+	})
+	var edges []sim.Time
+	for _, iv := range sc.intervals {
+		if iv.End > iv.Start {
+			edges = append(edges, iv.Start, iv.End)
+		}
+	}
+	for _, g := range sc.gaps {
+		edges = append(edges, g.From, g.To)
+	}
+	edgeIn := func(lo, hi sim.Time) bool { // an edge in the open interval (lo, hi)
+		return slices.ContainsFunc(edges, func(e sim.Time) bool { return lo < e && e < hi })
+	}
+	edgeAt := func(t sim.Time) bool { return slices.Contains(edges, t) }
+
+	i, in := 0, 0 // next expected window; input run holding it
+	var prev Window
+	Join(sc.runs, sc.period, sc.intervals, sc.gaps, func(w Window) {
+		for in < len(sc.runs) && sc.runs[in].End(sc.period) <= w.Run.T {
+			in++
+		}
+		if in == len(sc.runs) || w.Run.T < sc.runs[in].T || w.Run.End(sc.period) > sc.runs[in].End(sc.period) ||
+			math.Float64bits(w.Run.W) != math.Float64bits(sc.runs[in].W) {
+			t.Fatalf("run %+v is not inside one input run", w.Run)
+		}
+		if w.Run.N > 1 && edgeIn(w.Run.T, w.Run.End(sc.period)) {
+			t.Fatalf("run %+v spans an edge", w.Run)
+		}
+		if i > 0 && prev.Run.End(sc.period) == w.Run.T && w.Run.T > sc.runs[in].T &&
+			!edgeAt(w.Run.T) && !edgeIn(w.Run.T, w.Run.T.Add(sc.period)) &&
+			(prev.Run.N > 1 || !edgeIn(prev.Run.T, w.Run.T)) {
+			t.Fatalf("runs %+v and %+v touch with no edge between them", prev.Run, w.Run)
+		}
+		for k := 0; k < w.Run.N; k, i = k+1, i+1 {
+			if i >= len(want) {
+				t.Fatalf("run %+v expands past the oracle's %d windows", w.Run, len(want))
+			}
+			o, at := want[i], w.Run.T.Add(sim.Duration(k)*sc.period)
+			if o.Sample.T != at || math.Float64bits(o.Sample.W) != math.Float64bits(w.Run.W) ||
+				o.Total != w.Total || o.Covered != w.Covered || o.Degraded != w.Degraded ||
+				!slices.Equal(o.Occupants, w.Occupants) {
+				t.Fatalf("window %d (run %+v, sample %d): %+v, oracle %+v", i, w.Run, k, w, o)
+			}
+		}
+		prev = w
+	})
+	if i != len(want) {
+		t.Fatalf("runs expand to %d windows, oracle %d", i, len(want))
+	}
+}
+
+// TestRunJoinMatchesPerSample runs the seeded scenarios of
+// TestJoinMatchesOracle through checkRunJoinMatchesPerSample.
+func TestRunJoinMatchesPerSample(t *testing.T) {
+	long := 0
+	for seed := uint64(1); seed <= 3000; seed++ {
+		sc := genJoinScenario(sim.NewRand(seed))
+		for _, u := range sc.runs {
+			if u.N > 1 {
+				long++
+			}
+		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkRunJoinMatchesPerSample(t, sc) })
+	}
+	if long == 0 {
+		t.Fatal("no scenario coalesced samples into a run of more than one")
+	}
+}
+
+func FuzzRunJoinMatchesPerSample(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 200, 3, 7, 0, 9, 0, 1, 0, 1, 0, 1, 1, 44, 0, 5, 0, 2, 0, 30})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := byteDraw(data)
+		checkRunJoinMatchesPerSample(t, genJoinScenario(&d))
+	})
+}
+
+// Replay leaves every slot bit for bit where booking the window n times,
+// add by add, leaves it: with distinct slots (taken four at a time), with
+// a repeated slot (kept in window order), and from non-zero starting sums
+// of mixed magnitude, where each add rounds.
+func TestReplayMatchesWindowByWindow(t *testing.T) {
+	rnd := sim.NewRand(7)
+	for trial := 0; trial < 2000; trial++ {
+		slots := 1 + rnd.Intn(7)
+		acc := make([]float64, slots)
+		for i := range acc {
+			acc[i] = rnd.Float64() * math.Pow(10, float64(rnd.Intn(12)-6))
+		}
+		var adds []Add
+		for n := rnd.Intn(9); n > 0; n-- {
+			adds = append(adds, Add{Slot: rnd.Intn(slots), J: rnd.Float64() * math.Pow(10, float64(rnd.Intn(12)-9))})
+		}
+		n := 1 + rnd.Intn(300)
+		want := slices.Clone(acc)
+		for k := 0; k < n; k++ {
+			for _, a := range adds {
+				want[a.Slot] += a.J
+			}
+		}
+		Replay(acc, adds, n)
+		for i := range acc {
+			if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: slot %d = %v after %d replays of %v, window by window %v", trial, i, acc[i], n, adds, want[i])
+			}
+		}
+	}
 }

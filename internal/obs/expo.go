@@ -72,33 +72,34 @@ func (d *MetricsDump) WriteProm(w io.Writer) error {
 		return err
 	}
 	prev := ""
-	for _, k := range sortKeys(d.Counters) {
-		name := promName(k.Name)
+	for _, c := range d.Counters {
+		name := promName(c.Key.Name)
 		if name != prev {
 			if err := typeLine(name, "counter"); err != nil {
 				return err
 			}
 			prev = name
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", name, d.promLabels(k), d.Counters[k]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %d\n", name, d.promLabels(c.Key), c.V); err != nil {
 			return err
 		}
 	}
 	prev = ""
-	for _, k := range sortKeys(d.Gauges) {
-		name := promName(k.Name)
+	for _, g := range d.Gauges {
+		name := promName(g.Key.Name)
 		if name != prev {
 			if err := typeLine(name, "gauge"); err != nil {
 				return err
 			}
 			prev = name
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %.9g\n", name, d.promLabels(k), d.Gauges[k]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %.9g\n", name, d.promLabels(g.Key), g.V); err != nil {
 			return err
 		}
 	}
 	prev = ""
-	for _, k := range sortKeys(d.Hists) {
+	for i := range d.Hists {
+		k, h := d.Hists[i].Key, &d.Hists[i].V
 		name := promName(k.Name)
 		if name != prev {
 			if err := typeLine(name, "histogram"); err != nil {
@@ -106,7 +107,6 @@ func (d *MetricsDump) WriteProm(w io.Writer) error {
 			}
 			prev = name
 		}
-		h := d.Hists[k]
 		var cum uint64
 		for i := range h.Buckets {
 			cum += h.Buckets[i]

@@ -7,6 +7,17 @@ import (
 	"psbox/internal/sim"
 )
 
+// lookup returns the value of key k in a dump's series (zero if absent).
+func lookup[V any](series []Series[V], k Key) V {
+	for _, s := range series {
+		if s.Key == k {
+			return s.V
+		}
+	}
+	var zero V
+	return zero
+}
+
 // testDump builds a small two-shard-flavoured dump pair for merge and
 // exposition tests.
 func testDump(t *testing.T) (*MetricsDump, *MetricsDump) {
@@ -30,14 +41,14 @@ func TestDumpMergeSumsDeterministically(t *testing.T) {
 	m := NewMetricsDump()
 	m.Merge(a)
 	m.Merge(b)
-	if got := m.Counters[Key{"sched.switches", 1, "cpu"}]; got != 23 {
+	if got := lookup(m.Counters, Key{"sched.switches", 1, "cpu"}); got != 23 {
 		t.Errorf("merged counter = %d, want 23", got)
 	}
-	if got := m.Gauges[Key{"dvfs.freq_mhz", 0, "cpu"}]; got != 1800 {
+	if got := lookup(m.Gauges, Key{"dvfs.freq_mhz", 0, "cpu"}); got != 1800 {
 		t.Errorf("merged gauge = %v, want 1800", got)
 	}
-	h := m.Hists[Key{"accel.latency", 1, "gpu"}]
-	if h == nil || h.Count != 2 || h.Sum != 3*sim.Millisecond {
+	h := lookup(m.Hists, Key{"accel.latency", 1, "gpu"})
+	if h.Count != 2 || h.Sum != 3*sim.Millisecond {
 		t.Errorf("merged hist = %+v", h)
 	}
 	if m.Events != a.Events+b.Events {
@@ -72,10 +83,10 @@ func TestDumpIsImmuneToLaterBusActivity(t *testing.T) {
 	d := b.DumpMetrics()
 	b.Count("c", 0, "", 100)
 	b.Observe("h", 0, "", sim.Second)
-	if d.Counters[Key{"c", 0, ""}] != 1 {
+	if lookup(d.Counters, Key{"c", 0, ""}) != 1 {
 		t.Error("counter leaked into dump")
 	}
-	if d.Hists[Key{"h", 0, ""}].Count != 1 {
+	if lookup(d.Hists, Key{"h", 0, ""}).Count != 1 {
 		t.Error("histogram leaked into dump")
 	}
 }
@@ -127,7 +138,7 @@ func TestPromNameSanitizes(t *testing.T) {
 func TestPromLabelEscaping(t *testing.T) {
 	d := NewMetricsDump()
 	d.Owners[1] = "we\"ird\\app"
-	d.Counters[Key{"c", 1, ""}] = 1
+	d.Counters = []Series[int64]{{Key: Key{"c", 1, ""}, V: 1}}
 	var sb strings.Builder
 	if err := d.WriteProm(&sb); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"psbox/internal/sim"
 )
@@ -186,28 +189,33 @@ func sortKeys[V any](m map[Key]V) []Key {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Owner != b.Owner {
-			return a.Owner < b.Owner
-		}
-		return a.Rail < b.Rail
-	})
+	slices.SortFunc(keys, compareKeys)
 	return keys
+}
+
+// compareKeys orders keys canonically: by Name, then Owner, then Rail.
+func compareKeys(a, b Key) int {
+	return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Owner, b.Owner), strings.Compare(a.Rail, b.Rail))
+}
+
+// Series is one metric series of a dump: its key and its value.
+type Series[V any] struct {
+	Key Key
+	V   V
 }
 
 // MetricsDump is a portable, self-contained copy of a bus's metric state:
 // the currency of the fleet rollup. A shard's dump travels in its report,
 // dumps merge deterministically (Merge), and a dump renders exactly the
-// bytes the live bus would have written (Write). Histograms are copied by
-// value, so a dump is immune to later bus activity.
+// bytes the live bus would have written (Write). Series are copied by
+// value, so a dump is immune to later bus activity. Each kind of series
+// is a slice in canonical (Name, Owner, Rail) order, the order every
+// consumer reads it in; a fleet holds one dump per shard, and a sorted
+// slice takes half the memory of a map.
 type MetricsDump struct {
-	Counters map[Key]int64
-	Gauges   map[Key]float64
-	Hists    map[Key]*Hist
+	Counters []Series[int64]
+	Gauges   []Series[float64]
+	Hists    []Series[Hist]
 	Owners   map[int]string
 	Events   uint64 // events ever emitted on the source bus(es)
 	Dropped  uint64 // events the source ring(s) discarded
@@ -215,12 +223,7 @@ type MetricsDump struct {
 
 // NewMetricsDump returns an empty dump ready to merge into.
 func NewMetricsDump() *MetricsDump {
-	return &MetricsDump{
-		Counters: make(map[Key]int64),
-		Gauges:   make(map[Key]float64),
-		Hists:    make(map[Key]*Hist),
-		Owners:   make(map[int]string),
-	}
+	return &MetricsDump{Owners: make(map[int]string)}
 }
 
 // DumpMetrics copies the bus's metric registry into a portable dump.
@@ -229,22 +232,27 @@ func (b *Bus) DumpMetrics() *MetricsDump {
 	if b == nil {
 		return d
 	}
-	for k, v := range b.counters {
-		d.Counters[k] = v
-	}
-	for k, v := range b.gauges {
-		d.Gauges[k] = v
-	}
-	for k, h := range b.hists {
-		cp := *h
-		d.Hists[k] = &cp
-	}
+	d.Counters = dumpSeries(b.counters, func(v int64) int64 { return v })
+	d.Gauges = dumpSeries(b.gauges, func(v float64) float64 { return v })
+	d.Hists = dumpSeries(b.hists, func(h *Hist) Hist { return *h })
 	for id, name := range b.owners {
 		d.Owners[id] = name
 	}
 	d.Events = b.seq
 	d.Dropped = b.dropped
 	return d
+}
+
+// dumpSeries copies one registry map into a dump's sorted series.
+func dumpSeries[M, V any](m map[Key]M, value func(M) V) []Series[V] {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]Series[V], 0, len(m))
+	for _, k := range sortKeys(m) {
+		out = append(out, Series[V]{Key: k, V: value(m[k])})
+	}
+	return out
 }
 
 // Merge folds o into d: counters, histograms, and emission accounting
@@ -258,20 +266,9 @@ func (d *MetricsDump) Merge(o *MetricsDump) {
 	if o == nil {
 		return
 	}
-	for _, k := range sortKeys(o.Counters) {
-		d.Counters[k] += o.Counters[k]
-	}
-	for _, k := range sortKeys(o.Gauges) {
-		d.Gauges[k] += o.Gauges[k]
-	}
-	for _, k := range sortKeys(o.Hists) {
-		h := d.Hists[k]
-		if h == nil {
-			h = &Hist{}
-			d.Hists[k] = h
-		}
-		h.Merge(o.Hists[k])
-	}
+	d.Counters = mergeSeries(d.Counters, o.Counters, func(a *int64, b int64) { *a += b })
+	d.Gauges = mergeSeries(d.Gauges, o.Gauges, func(a *float64, b float64) { *a += b })
+	d.Hists = mergeSeries(d.Hists, o.Hists, func(a *Hist, b Hist) { a.Merge(&b) })
 	ids := make([]int, 0, len(o.Owners))
 	for id := range o.Owners {
 		ids = append(ids, id)
@@ -284,6 +281,35 @@ func (d *MetricsDump) Merge(o *MetricsDump) {
 	}
 	d.Events += o.Events
 	d.Dropped += o.Dropped
+}
+
+// mergeSeries merges two canonical series lists into a new one. A key in
+// both adds src's value into dst's; a key only in src adds its value into
+// a zero value, as a map entry read before its first write would.
+func mergeSeries[V any](dst, src []Series[V], add func(*V, V)) []Series[V] {
+	out := make([]Series[V], 0, len(dst)+len(src))
+	for len(dst) > 0 || len(src) > 0 {
+		c := -1
+		if len(dst) == 0 {
+			c = 1
+		} else if len(src) > 0 {
+			c = compareKeys(dst[0].Key, src[0].Key)
+		}
+		switch {
+		case c < 0:
+			out = append(out, dst[0])
+			dst = dst[1:]
+			continue
+		case c > 0:
+			out = append(out, Series[V]{Key: src[0].Key})
+		default:
+			out = append(out, dst[0])
+			dst = dst[1:]
+		}
+		add(&out[len(out)-1].V, src[0].V)
+		src = src[1:]
+	}
+	return out
 }
 
 // keyCols renders the owner and rail columns; "-" marks the system-wide
@@ -312,23 +338,23 @@ func (d *MetricsDump) Write(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "# psbox metrics"); err != nil {
 		return err
 	}
-	for _, k := range sortKeys(d.Counters) {
-		owner, rail := d.keyCols(k)
+	for _, c := range d.Counters {
+		owner, rail := d.keyCols(c.Key)
 		if _, err := fmt.Fprintf(w, "counter %-34s owner=%-14s rail=%-8s %d\n",
-			k.Name, owner, rail, d.Counters[k]); err != nil {
+			c.Key.Name, owner, rail, c.V); err != nil {
 			return err
 		}
 	}
-	for _, k := range sortKeys(d.Gauges) {
-		owner, rail := d.keyCols(k)
+	for _, g := range d.Gauges {
+		owner, rail := d.keyCols(g.Key)
 		if _, err := fmt.Fprintf(w, "gauge   %-34s owner=%-14s rail=%-8s %.6g\n",
-			k.Name, owner, rail, d.Gauges[k]); err != nil {
+			g.Key.Name, owner, rail, g.V); err != nil {
 			return err
 		}
 	}
-	for _, k := range sortKeys(d.Hists) {
+	for i := range d.Hists {
+		k, h := d.Hists[i].Key, &d.Hists[i].V
 		owner, rail := d.keyCols(k)
-		h := d.Hists[k]
 		if _, err := fmt.Fprintf(w, "hist    %-34s owner=%-14s rail=%-8s count=%d sum=%v",
 			k.Name, owner, rail, h.Count, h.Sum); err != nil {
 			return err

@@ -117,40 +117,68 @@ func (p *Profiler) Degraded() uint64 {
 	return p.degraded
 }
 
-// FoldRail folds one rail's samples against the trace's span events with
-// obs.Join: each sample window [T, T+period) is split among the (owner,
-// component) pairs active in it — occupancy fraction scaled by coverage,
-// the arithmetic obs.Attribute applies per owner, kept one level deeper so
-// the tree separates an app's scheduler time from its accelerator
-// commands — and the uncovered remainder is booked to the idle floor.
-// Each share times the sampled watts times the period is the window's
-// energy contribution. Every key accumulates in sample order, then in
-// ascending (owner, component) order, never in map order.
+// FoldRail folds one rail's sample runs against the trace's span events
+// with obs.Join: each sample window [T, T+period) is split among the
+// (owner, component) pairs active in it — occupancy fraction scaled by
+// coverage, the arithmetic obs.AttributeRuns applies per owner, kept one
+// level deeper so the tree separates an app's scheduler time from its
+// accelerator commands — and the uncovered remainder is booked to the
+// idle floor. Each share times the sampled watts times the period is the
+// window's energy contribution. Every key accumulates in sample order,
+// then in ascending (owner, component) order, never in map order.
+//
+// Join hands over a run of N equal windows at once. FoldRail resolves the
+// run's keys once into accumulator slots, then obs.Replay books the
+// window's adds N times over, in window order, never multiplied by N, so
+// the weights are bit for bit those of a fold window by window. Two
+// owners can share an app name, so their adds to one key stay
+// interleaved.
 //
 // events is the full trace; FoldRail selects the spans on rail itself.
-// Samples follow obs.Join's order contract. ownerName maps owner IDs to
-// app names (owner 0 is conventionally "kernel"). The fold is a no-op
-// while the profiler is disabled.
-func (p *Profiler) FoldRail(rail string, samples []power.Sample, period sim.Duration,
+// Runs follow obs.Join's order contract. ownerName maps owner IDs to app
+// names (owner 0 is conventionally "kernel"). The fold is a no-op while
+// the profiler is disabled.
+func (p *Profiler) FoldRail(rail string, runs []power.Run, period sim.Duration,
 	events []obs.Event, gaps []obs.Gap, ownerName func(int) string) {
 	if p == nil || !p.enabled {
 		return
 	}
-	obs.Join(samples, period, obs.IntervalsFromEvents(events, rail), gaps, func(w obs.Window) {
-		joules := float64(w.Sample.W) * period.Seconds()
-		p.windows++
-		if w.Degraded {
-			p.degraded++
+	var (
+		keys  []Key               // slot -> key
+		acc   []float64           // slot -> running weight, starting from p.weights
+		slots = make(map[Key]int) // key -> slot
+		adds  []obs.Add           // one window's bookings, in order
+	)
+	slot := func(k Key) int {
+		i, ok := slots[k]
+		if !ok {
+			i = len(keys)
+			slots[k] = i
+			keys = append(keys, k)
+			acc = append(acc, p.weights[k])
 		}
+		return i
+	}
+	obs.Join(runs, period, obs.IntervalsFromEvents(events, rail), gaps, func(w obs.Window) {
+		joules := float64(w.Run.W) * period.Seconds()
+		p.windows += uint64(w.Run.N)
+		if w.Degraded {
+			p.degraded += uint64(w.Run.N)
+		}
+		adds = adds[:0]
 		activeFrac := float64(w.Covered) / float64(period)
 		for _, oc := range w.Occupants {
 			frac := float64(oc.D) / float64(w.Total) * activeFrac
-			p.weights[Key{App: ownerName(oc.Owner), Comp: oc.Comp, Rail: rail}] += frac * joules
+			adds = append(adds, obs.Add{Slot: slot(Key{App: ownerName(oc.Owner), Comp: oc.Comp, Rail: rail}), J: frac * joules})
 		}
 		if idle := float64(period-w.Covered) / float64(period); idle > 0 {
-			p.weights[Key{App: IdleApp, Comp: IdleComp, Rail: rail}] += idle * joules
+			adds = append(adds, obs.Add{Slot: slot(Key{App: IdleApp, Comp: IdleComp, Rail: rail}), J: idle * joules})
 		}
+		obs.Replay(acc, adds, w.Run.N)
 	})
+	for i, k := range keys {
+		p.weights[k] = acc[i]
+	}
 }
 
 // Entries returns the folded tree in canonical (App, Comp, Rail) order.

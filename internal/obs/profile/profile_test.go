@@ -26,7 +26,7 @@ func name(owner int) string {
 // running sched for the first half, maps running accel for the last
 // quarter, and the rest uncovered.
 func testFold(p *Profiler) {
-	samples := []power.Sample{{T: 0, W: 2.0}}
+	runs := []power.Run{{T: 0, N: 1, W: 2.0}}
 	events := []obs.Event{
 		{Type: obs.TypeSpan, T: 0, End: sim.Time(5 * ms), Cat: obs.CatSched, Owner: 1, Rail: "cpu"},
 		{Type: obs.TypeSpan, T: sim.Time(7500 * sim.Microsecond), End: sim.Time(10 * ms),
@@ -34,7 +34,7 @@ func testFold(p *Profiler) {
 		// A different rail's span must be ignored by a cpu fold.
 		{Type: obs.TypeSpan, T: 0, End: sim.Time(10 * ms), Cat: obs.CatAccel, Owner: 2, Rail: "gpu"},
 	}
-	p.FoldRail("cpu", samples, 10*ms, events, nil, name)
+	p.FoldRail("cpu", runs, 10*ms, events, nil, name)
 }
 
 func TestFoldRailSplitsEnergy(t *testing.T) {
@@ -89,9 +89,9 @@ func TestFoldDisabledIsNoOp(t *testing.T) {
 func TestFoldCountsDegradedWindows(t *testing.T) {
 	p := New()
 	p.Enable()
-	samples := []power.Sample{{T: 0, W: 1}, {T: sim.Time(10 * ms), W: 1}}
+	runs := []power.Run{{T: 0, N: 2, W: 1}}
 	gaps := []obs.Gap{{From: sim.Time(12 * ms), To: sim.Time(15 * ms)}}
-	p.FoldRail("cpu", samples, 10*ms, nil, gaps, name)
+	p.FoldRail("cpu", runs, 10*ms, nil, gaps, name)
 	if p.Windows() != 2 || p.Degraded() != 1 {
 		t.Fatalf("windows=%d degraded=%d, want 2/1", p.Windows(), p.Degraded())
 	}
@@ -276,11 +276,27 @@ func referenceFold(weights map[Key]float64, rail string, samples []power.Sample,
 	return windows, degraded
 }
 
+// runsOf coalesces samples into runs: adjacent samples one period apart
+// with bit-identical watts share a run, as Rail.Runs builds them.
+func runsOf(samples []power.Sample, period sim.Duration) []power.Run {
+	var runs []power.Run
+	for _, s := range samples {
+		if n := len(runs); n > 0 && runs[n-1].End(period) == s.T &&
+			math.Float64bits(runs[n-1].W) == math.Float64bits(s.W) {
+			runs[n-1].N++
+			continue
+		}
+		runs = append(runs, power.Run{T: s.T, N: 1, W: s.W})
+	}
+	return runs
+}
+
 // TestFoldMatchesOracle folds seeded scenarios in two calls, as repeated
 // FoldProfile calls do, and compares the tree with referenceFold bit for
 // bit. The scenarios mix rails, several components per owner, two owners
 // named as one app, stacked spans with equal-time edges, zero-length and
-// inverted spans, sample holes and unaligned starts, and dropout gaps.
+// inverted spans, sample holes and unaligned starts, dropout gaps, and
+// samples that repeat their watts, so FoldRail books runs of many windows.
 func TestFoldMatchesOracle(t *testing.T) {
 	owners := map[int]string{0: "kernel", 1: "vision", 2: "maps", 3: "dup", 4: "dup"}
 	ownerName := func(id int) string { return owners[id] }
@@ -294,7 +310,11 @@ func TestFoldMatchesOracle(t *testing.T) {
 			if r.Intn(6) == 0 {
 				at = at.Add(sim.Duration(r.Intn(4)) * period)
 			}
-			samples = append(samples, power.Sample{T: at, W: power.Watts(r.Intn(4000)) / 3})
+			w := power.Watts(r.Intn(4000)) / 3
+			if k := len(samples); k > 0 && r.Intn(4) != 0 {
+				w = samples[k-1].W
+			}
+			samples = append(samples, power.Sample{T: at, W: w})
 			at = at.Add(period)
 		}
 		q := sim.Duration(1+r.Intn(5)) * sim.Microsecond
@@ -324,7 +344,7 @@ func TestFoldMatchesOracle(t *testing.T) {
 		var windows, degraded uint64
 		split := r.Intn(len(samples) + 1)
 		for _, part := range [][]power.Sample{samples[:split], samples[split:]} {
-			p.FoldRail("cpu", part, period, events, gaps, ownerName)
+			p.FoldRail("cpu", runsOf(part, period), period, events, gaps, ownerName)
 			w, d := referenceFold(want, "cpu", part, period, events, gaps, ownerName)
 			windows, degraded = windows+w, degraded+d
 		}

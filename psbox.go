@@ -466,12 +466,13 @@ func (s *System) FoldProfile() {
 		}
 		return fmt.Sprintf("app%d", id)
 	}
+	var runs []power.Run
 	for _, rail := range s.Meter.Rails() {
 		if rail == "battery" {
 			continue
 		}
-		samples := s.Meter.Samples(rail, from, now)
-		s.Profile.FoldRail(rail, samples, s.Meter.Period(), events, s.dropoutGaps(rail, from, now), ownerName)
+		runs = s.Meter.Runs(rail, from, now, runs[:0])
+		s.Profile.FoldRail(rail, runs, s.Meter.Period(), events, s.dropoutGaps(rail, from, now), ownerName)
 	}
 	s.Profile.Advance(now)
 }
@@ -483,16 +484,36 @@ func (s *System) FoldProfile() {
 // Tracing must have been enabled before the window of interest, or the
 // spans (and thus the blame) are empty.
 func (s *System) Blame(rail string, from, to Time) []obs.Blame {
-	samples := s.Meter.Samples(rail, from, to)
+	runs := s.Meter.Runs(rail, from, to, nil)
 	intervals := obs.IntervalsFromEvents(s.Trace.Events(), rail)
-	return obs.Attribute(samples, s.Meter.Period(), intervals, s.dropoutGaps(rail, from, to))
+	return obs.Attribute(runs, s.Meter.Period(), intervals, s.dropoutGaps(rail, from, to))
 }
 
-// dropoutGaps returns the meter dropouts on rail within [from, to) as
-// the gaps the joins flag degraded windows by.
+// BlameRuns is Blame over every metered rail, before the expansion into
+// samples: rail by rail, in meter order, it emits each run of identical
+// blame windows once (obs.AttributeRuns), so a consumer pays per run, not
+// per sample. The battery rail is the sum of the others and is skipped,
+// as FoldProfile skips it.
+func (s *System) BlameRuns(from, to Time, emit func(rail string, b obs.BlameRun)) {
+	events := s.Trace.Events()
+	var runs []power.Run
+	for _, rail := range s.Meter.Rails() {
+		if rail == "battery" {
+			continue
+		}
+		runs = s.Meter.Runs(rail, from, to, runs[:0])
+		obs.AttributeRuns(runs, s.Meter.Period(), obs.IntervalsFromEvents(events, rail), s.dropoutGaps(rail, from, to),
+			func(b obs.BlameRun) { emit(rail, b) })
+	}
+}
+
+// dropoutGaps returns the meter dropouts on rail that the sample windows
+// of [from, to) can overlap, as the gaps the joins flag degraded windows
+// by. The last window starts before to but ends up to one period after
+// it, so a dropout there degrades it whatever the query's end.
 func (s *System) dropoutGaps(rail string, from, to Time) []obs.Gap {
 	var gaps []obs.Gap
-	for _, w := range s.Meter.Dropouts(rail, from, to) {
+	for _, w := range s.Meter.Dropouts(rail, from, to.Add(s.Meter.Period())) {
 		gaps = append(gaps, obs.Gap{From: w.From, To: w.To})
 	}
 	return gaps
