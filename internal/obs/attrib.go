@@ -283,51 +283,14 @@ type Add struct {
 // Replay books one window's adds into acc n times over, as n equal
 // windows booked one after another would: every add in order, window
 // after window. It never multiplies by n, which would round differently,
-// so acc ends bit for bit where a walk over every sample leaves it. Adds
-// to distinct slots never meet, so when no slot repeats, Replay runs four
-// slots at a time in registers; each slot still takes its n adds in
-// order. A repeated slot (two owners sharing a name) keeps the window
-// order as it is.
+// so acc ends bit for bit where a walk over every sample leaves it, also
+// when two adds share a slot (two owners with one name).
 func Replay(acc []float64, adds []Add, n int) {
-	if n == 1 || !distinctSlots(adds) {
-		for ; n > 0; n-- {
-			for _, a := range adds {
-				acc[a.Slot] += a.J
-			}
-		}
-		return
-	}
-	for len(adds) > 0 {
-		k := min(len(adds), 4)
-		var x, v [4]float64 // slots past k add zero to a scratch sum
-		for i, a := range adds[:k] {
-			x[i], v[i] = acc[a.Slot], a.J
-		}
-		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-		v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-		for i := 0; i < n; i++ {
-			x0 += v0
-			x1 += v1
-			x2 += v2
-			x3 += v3
-		}
-		x = [4]float64{x0, x1, x2, x3}
-		for i, a := range adds[:k] {
-			acc[a.Slot] = x[i]
-		}
-		adds = adds[k:]
-	}
-}
-
-func distinctSlots(adds []Add) bool {
-	for i := range adds {
-		for j := i + 1; j < len(adds); j++ {
-			if adds[i].Slot == adds[j].Slot {
-				return false
-			}
+	for ; n > 0; n-- {
+		for _, a := range adds {
+			acc[a.Slot] += a.J
 		}
 	}
-	return true
 }
 
 func overlapsGap(lo, hi sim.Time, gaps []Gap) bool {
